@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FloatMatrix, RatMatrix, column_stats, format_matrix
+from .core import FloatMatrix, RatMatrix, _common_row_sum, column_stats, format_matrix
 from .errors import InfeasibleError, NormalizationError, PreconditionError
 
 __all__ = [
@@ -33,17 +33,41 @@ __all__ = [
 
 
 def _require_constant_row_sums(a: RatMatrix) -> Fraction:
-    sums = a.row_sums()
-    if any(s != sums[0] for s in sums):
+    r = _common_row_sum(a)
+    if r is None:
         raise PreconditionError("matrix must have constant row sums")
-    return sums[0]
+    return r
 
 
-def _require_nonneg_constant_rows(a: RatMatrix) -> Fraction:
-    a.require_square()
+def _columns(a: RatMatrix):
+    """Check a once (square, nonnegative, constant row sums) and return
+    n, r, column sums x, column minima, and the column bounds x_j - n*a_j
+    whose maximum minus r is the threshold."""
+    n = a.require_square()
     if not a.is_nonnegative():
         raise PreconditionError("matrix must be entrywise nonnegative")
-    return _require_constant_row_sums(a)
+    r = _require_constant_row_sums(a)
+    x, mins = column_stats(a)
+    return n, r, x, mins, [x[j] - n * mins[j] for j in range(n)]
+
+
+def _balanced(a: RatMatrix, n, r, x, bounds, eps: Fraction) -> RatMatrix:
+    """Entries a_ij + (r + eps - x_j)/n; shifts below the threshold are rejected."""
+    threshold = max(bounds) - r
+    if eps < threshold:
+        worst = bounds.index(max(bounds)) + 1
+        raise InfeasibleError(
+            f"shift {eps} is below the nonnegativity threshold {threshold} "
+            f"(column {worst} is binding)",
+            column=worst,
+            threshold=threshold,
+        )
+    return RatMatrix(
+        [
+            [a[i, j] + Fraction(r + eps - x[j], n) for j in range(n)]
+            for i in range(n)
+        ]
+    )
 
 
 def _heaviest_column(x: tuple[Fraction, ...]) -> int:
@@ -118,10 +142,8 @@ def epsilon_threshold(a: RatMatrix) -> Fraction:
     Equals max_j(x_j - n*a_j) - r over column sums x and column minima a;
     always at least -r.
     """
-    r = _require_nonneg_constant_rows(a)
-    n = a.n_rows
-    x, mins = column_stats(a)
-    return max(x[j] - n * mins[j] for j in range(n)) - r
+    _, r, _, _, bounds = _columns(a)
+    return max(bounds) - r
 
 
 def balance(a: RatMatrix, eps) -> RatMatrix:
@@ -131,35 +153,14 @@ def balance(a: RatMatrix, eps) -> RatMatrix:
     sums r + eps, and cospectral to the input away from the dominant
     eigenvalue.  Shifts below the threshold are rejected.
     """
-    r = _require_nonneg_constant_rows(a)
-    n = a.n_rows
-    eps = Fraction(eps)
-    threshold = epsilon_threshold(a)
-    if eps < threshold:
-        x, mins = column_stats(a)
-        worst = max(range(n), key=lambda j: x[j] - n * mins[j])
-        raise InfeasibleError(
-            f"shift {eps} is below the nonnegativity threshold {threshold} "
-            f"(column {worst + 1} is binding)",
-            column=worst + 1,
-            threshold=threshold,
-        )
-    x = a.col_sums()
-    return RatMatrix(
-        [
-            [a[i, j] + Fraction(r + eps - x[j], n) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    n, r, x, _, bounds = _columns(a)
+    return _balanced(a, n, r, x, bounds, Fraction(eps))
 
 
 def balance_minimal(a: RatMatrix) -> BalanceReport:
     """The balanced family at its threshold, with both parameterizations."""
-    r = _require_nonneg_constant_rows(a)
-    n = a.n_rows
-    x, mins = column_stats(a)
+    n, r, x, mins, bounds = _columns(a)
     m = _heaviest_column(x)
-    bounds = [x[j] - n * mins[j] for j in range(n)]
     eps_min = max(bounds) - r
     y_min = Fraction(eps_min + r - x[m], n)
     tight = frozenset(j + 1 for j in range(n) if bounds[j] == max(bounds))
@@ -170,7 +171,7 @@ def balance_minimal(a: RatMatrix) -> BalanceReport:
         m=m + 1,
         y_threshold=y_min,
         epsilon_threshold=eps_min,
-        b_min=balance(a, eps_min),
+        b_min=_balanced(a, n, r, x, bounds, eps_min),
         tight_columns=tight,
     )
 
@@ -182,11 +183,8 @@ def balance_nr(a: RatMatrix) -> RatMatrix:
     so every column sum is at most n*r.  The output's sums do not depend on
     the input's entries, only on its order and row sum.
     """
-    r = _require_nonneg_constant_rows(a)
-    n = a.n_rows
-    eps = (n - 1) * r
-    assert eps >= epsilon_threshold(a)
-    return balance(a, eps)
+    n, r, x, _, bounds = _columns(a)
+    return _balanced(a, n, r, x, bounds, (n - 1) * r)
 
 
 #: power-iteration controls for normalize_to_stochastic

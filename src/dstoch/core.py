@@ -339,6 +339,12 @@ def column_stats(a: RatMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ..
     return sums, mins
 
 
+def _common_row_sum(a: RatMatrix) -> Fraction | None:
+    """The row sum shared by every row, or None when the rows differ."""
+    sums = a.row_sums()
+    return sums[0] if all(s == sums[0] for s in sums) else None
+
+
 def classify(a: RatMatrix) -> StochClass:
     """Most specific stochasticity tag, with row/column sums tested exactly.
 
@@ -347,10 +353,9 @@ def classify(a: RatMatrix) -> StochClass:
     unqualified STOCHASTIC / DOUBLY_STOCHASTIC names.
     """
     a.require_square()
-    row_sums = a.row_sums()
-    r = row_sums[0]
+    r = _common_row_sum(a)
     nonneg = a.is_nonnegative()
-    if any(s != r for s in row_sums):
+    if r is None:
         tag = Stochasticity.NONNEGATIVE_ONLY if nonneg else Stochasticity.GENERAL
         return StochClass(tag)
     doubly = all(s == r for s in a.col_sums())

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .balance import balance
 from .core import (
     RatMatrix,
     Stochasticity,
@@ -104,9 +105,9 @@ def ds_condition(a: RatMatrix) -> DsConditionReport:
 def cospectral_ds(a: RatMatrix) -> RatMatrix:
     """Doubly stochastic matrix exactly cospectral to a stochastic one.
 
-    Entries are a_ij + (1 - x_j)/n.  Refuses when a slack is negative, since
-    the result would have negative entries; the raw affine projection remains
-    available through :func:`nearest_ds`.
+    Entries are a_ij + (1 - x_j)/n, i.e. ``balance(a, 0)``.  Refuses when a
+    slack is negative, since the result would have negative entries; the raw
+    affine projection remains available through :func:`nearest_ds`.
     """
     report = ds_condition(a)
     if not report.holds:
@@ -116,11 +117,7 @@ def cospectral_ds(a: RatMatrix) -> RatMatrix:
             column=report.first_violation,
             report=report,
         )
-    n = a.n_rows
-    x = a.col_sums()
-    return RatMatrix(
-        [[a[i, j] + Fraction(1 - x[j], n) for j in range(n)] for i in range(n)]
-    )
+    return balance(a, 0)
 
 
 def nearest_ds(a: RatMatrix) -> RatMatrix:

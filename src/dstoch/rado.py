@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RatMatrix, uniform_matrix
+from .core import RatMatrix, _common_row_sum, uniform_matrix
 from .errors import DimensionError, PreconditionError
 
 __all__ = ["RadoUpdate", "rado_update", "shift", "shift_nonneg_threshold"]
@@ -73,8 +73,7 @@ def shift(a: RatMatrix, eps) -> RatMatrix:
     row/column-sum structure is preserved with r shifted to r + eps.
     """
     n = a.require_square()
-    sums = a.row_sums()
-    if any(s != sums[0] for s in sums):
+    if _common_row_sum(a) is None:
         raise PreconditionError("shift requires constant row sums")
     return a + Fraction(eps) * uniform_matrix(n)
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FloatMatrix, RatMatrix, parse_scalar
+from .core import FloatMatrix, RatMatrix, _data_lines, parse_scalar
 from .errors import (
     ConjugacyError,
     DimensionError,
@@ -37,10 +38,6 @@ __all__ = [
     "parse_spectrum",
     "format_poly",
 ]
-
-#: two spectrum entries pair as conjugates when both parts differ by at most this
-CONJUGACY_TOL = Fraction(1, 10**10)
-
 
 class Poly:
     """Polynomial with rational coefficients, stored lowest degree first.
@@ -208,41 +205,17 @@ def _coerce_entry(value) -> tuple[Fraction, Fraction]:
     return Fraction(value), Fraction(0)
 
 
-def _conjugate_pairs(
-    entries: Sequence[tuple[Fraction, Fraction]],
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Split entry indices into reals and greedily matched conjugate pairs.
-
-    Each entry with positive imaginary part is matched to the nearest entry
-    with negative imaginary part; both components must agree within
-    CONJUGACY_TOL or the list is rejected.
-    """
-    reals = [i for i, (_, im) in enumerate(entries) if im == 0]
-    pos = [i for i, (_, im) in enumerate(entries) if im > 0]
-    neg = [i for i, (_, im) in enumerate(entries) if im < 0]
-    pairs: list[tuple[int, int]] = []
-    unmatched = list(neg)
-    for i in pos:
-        re_i, im_i = entries[i]
-        best = None
-        best_dist = None
-        for j in unmatched:
-            re_j, im_j = entries[j]
-            dist = max(abs(re_i - re_j), abs(im_i + im_j))
-            if best_dist is None or dist < best_dist:
-                best, best_dist = j, dist
-        if best is None or best_dist > CONJUGACY_TOL:
+def _require_conjugate_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> None:
+    """Reject a multiset in which some (re, im) occurs a different number of
+    times than its exact conjugate (re, -im)."""
+    counts = Counter(entries)
+    for (re_k, im_k), count in counts.items():
+        partner = counts[re_k, -im_k]
+        if partner != count:
             raise ConjugacyError(
-                f"entry {entries[i]} has no conjugate partner within tolerance"
+                f"entry ({re_k}, {im_k}) occurs {count} times but its conjugate "
+                f"{partner} times"
             )
-        unmatched.remove(best)
-        pairs.append((i, best))
-    if unmatched:
-        re_j, im_j = entries[unmatched[0]]
-        raise ConjugacyError(
-            f"entry ({re_j}, {im_j}) has no conjugate partner within tolerance"
-        )
-    return reals, pairs
 
 
 class SpectrumList:
@@ -250,10 +223,10 @@ class SpectrumList:
     dominant entry.
 
     Entries are exact (re, im) Fraction pairs; decimal text converts exactly.
-    Conjugate closure is validated on construction.  The designated entry is
-    expected to be real and to dominate every modulus; a violation is reported
-    as a :class:`PerronWarning`, not an error, since the list may be a
-    candidate spectrum rather than a realized one.
+    Conjugate closure is validated exactly on construction.  The designated
+    entry is expected to be real and to dominate every modulus; a violation is
+    reported as a :class:`PerronWarning`, not an error, since the list may be
+    a candidate spectrum rather than a realized one.
     """
 
     __slots__ = ("_entries", "_perron_index")
@@ -264,7 +237,7 @@ class SpectrumList:
             raise PreconditionError("spectrum must contain at least one entry")
         if not 0 <= perron_index < len(items):
             raise PreconditionError(f"perron_index {perron_index} out of range")
-        _conjugate_pairs(items)
+        _require_conjugate_closed(items)
         self._entries = items
         self._perron_index = perron_index
         self._check_dominance()
@@ -326,11 +299,7 @@ def parse_spectrum(text: str) -> SpectrumList:
     """One complex entry per line (`re` or `re+im i` / `re-im i`); the first
     line is the designated dominant entry.  Comments and blank lines as in
     the matrix format."""
-    entries = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            entries.append(_parse_complex(line))
+    entries = [_parse_complex(line) for line in _data_lines(text)]
     if not entries:
         raise FormatError("no spectrum entries found")
     return SpectrumList(entries)
@@ -339,22 +308,22 @@ def parse_spectrum(text: str) -> SpectrumList:
 def poly_from_spectrum(spectrum) -> Poly:
     """Monic real polynomial with the given multiset of roots.
 
-    Conjugate pairs are multiplied first as real quadratics, so the result is
-    real by construction and exact whenever the entries are exact.
+    The entries must be exactly closed under conjugation.  Each entry with
+    positive imaginary part and its conjugate enter as one real quadratic,
+    so the result is real by construction and exact.
     Accepts a SpectrumList or any iterable of (re, im) pairs / rationals.
     """
     if isinstance(spectrum, SpectrumList):
         entries = spectrum.entries
     else:
         entries = tuple(_coerce_entry(e) for e in spectrum)
-    reals, pairs = _conjugate_pairs(entries)
+    _require_conjugate_closed(entries)
     p = Poly([1])
-    for i, j in pairs:
-        re_i, im_i = entries[i]
-        re_j, im_j = entries[j]
-        p = p * Poly([re_i * re_j - im_i * im_j, -(re_i + re_j), 1])
-    for i in reals:
-        p = p * Poly.x_minus(entries[i][0])
+    for re_k, im_k in entries:
+        if im_k > 0:
+            p = p * Poly([re_k * re_k + im_k * im_k, -2 * re_k, 1])
+        elif im_k == 0:
+            p = p * Poly.x_minus(re_k)
     return p
 
 
@@ -420,10 +389,10 @@ def similar_to_unit_sums(a: RatMatrix) -> bool:
     Requires 1 to be an eigenvalue (exactly); rescale beforehand otherwise.
     """
     n = a.require_square()
-    if charpoly(a)(1) != 0:
-        raise PreconditionError("1 must be an eigenvalue of the matrix")
     ident = RatMatrix.identity(n)
     right = nullspace(a - ident)
+    if not right:
+        raise PreconditionError("1 must be an eigenvalue of the matrix")
     left = nullspace(a.transpose() - ident)
     return any(
         sum(x * y for x, y in zip(lv, rv)) != 0 for lv in left for rv in right

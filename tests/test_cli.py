@@ -197,3 +197,6 @@ class TestErrorPaths:
         bad = tmp_path / "bad.spectrum"
         bad.write_text("1\n0+1 i\n")
         assert run(["realize", str(bad)]) == 3
+        # 1/3 and 1/3 + 1e-11: close, but not an exact conjugate pair
+        bad.write_text("1\n1/2+1/3 i\n1/2-100000000003/300000000000 i\n")
+        assert run(["realize", str(bad)]) == 3

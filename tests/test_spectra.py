@@ -137,6 +137,19 @@ class TestCospectral:
                         assert cospectral(a, c)
 
 
+#: conjugation must hold exactly and with multiplicity: a pair whose
+#: imaginary parts differ by 1e-11, and a root listed twice whose conjugate
+#: is listed once
+NOT_CONJUGATE_CLOSED = [
+    [
+        1,
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(1, 2), -Fraction(1, 3) - Fraction(1, 10**11)),
+    ],
+    [(0, 1), (0, 1), (0, -1)],
+]
+
+
 class TestPolyFromSpectrum:
     def test_rational_spectrum(self):
         p = poly_from_spectrum([1, 0, Fraction(1, 4)])
@@ -145,10 +158,15 @@ class TestPolyFromSpectrum:
     def test_conjugate_pair(self):
         p = poly_from_spectrum([(0, 1), (0, -1)])
         assert p == Poly([1, 0, 1])
+        p = poly_from_spectrum([(0, 1), (0, 1), (0, -1), (0, -1)])
+        assert p == Poly([1, 0, 2, 0, 1])
 
     def test_unpaired_imaginary_rejected(self):
         with pytest.raises(ConjugacyError):
             poly_from_spectrum([(1, 0), (0, 1)])
+        for entries in NOT_CONJUGATE_CLOSED:
+            with pytest.raises(ConjugacyError):
+                poly_from_spectrum(entries)
 
     def test_reproduces_charpoly_with_rational_roots(self):
         rng = random.Random(13)
@@ -254,6 +272,9 @@ class TestSpectrumList:
     def test_requires_conjugate_closure(self):
         with pytest.raises(ConjugacyError):
             SpectrumList([(1, 0), (0, 1)])
+        for entries in NOT_CONJUGATE_CLOSED:
+            with pytest.raises(ConjugacyError):
+                SpectrumList(entries)
 
     def test_rest_drops_designated_entry(self):
         s = SpectrumList([1, Fraction(1, 3), 0])
