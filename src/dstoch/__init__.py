@@ -3,9 +3,11 @@
 The exact half works over arbitrary-precision rationals: classification of
 row/column-sum structure, characteristic polynomials, rank-r spectrum
 perturbations, the column-balancing family with its nonnegativity threshold,
-and the Frobenius projection onto unit row/column sums.  The floating half
-realizes conjugate-closed spectra through orthogonal embeddings of companion
-matrices and normalizes nonnegative matrices to constant row sums.
+and the Frobenius projection onto unit row/column sums.  It uses the standard
+library only.  The floating half, :mod:`dstoch.orthogonal`, realizes
+conjugate-closed spectra through orthogonal embeddings of companion matrices
+and normalizes nonnegative matrices to constant row sums.  It alone has a
+third-party dependency, and its names load on first access.
 """
 
 from .balance import (
@@ -15,19 +17,15 @@ from .balance import (
     balance_nr,
     balance_offsets,
     epsilon_threshold,
-    normalize_to_stochastic,
 )
 from .core import (
-    FloatMatrix,
     RatMatrix,
     StochClass,
     Stochasticity,
     classify,
     column_stats,
-    format_float_matrix,
     format_matrix,
     frobenius_distance_sq,
-    parse_float_matrix,
     parse_matrix,
     parse_scalar,
     uniform_matrix,
@@ -52,23 +50,11 @@ from .nearness import (
     nearest_ds,
     nearest_ds_distance_sq,
 )
-from .orthogonal import (
-    BasisSource,
-    OrthoBasis,
-    canonical_basis,
-    embed,
-    extract,
-    random_basis,
-    realize_cospectral,
-    realize_nonneg,
-    user_basis,
-)
 from .rado import RadoUpdate, rado_update, shift, shift_nonneg_threshold
 from .spectra import (
     Poly,
     SpectrumList,
     charpoly,
-    charpoly_float,
     companion,
     cospectral,
     format_poly,
@@ -80,4 +66,34 @@ from .spectra import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: names re-exported from dstoch.orthogonal, imported on first access so
+#: that the exact half never loads the float dependency
+_FLOAT_NAMES = (
+    "FloatMatrix",
+    "parse_float_matrix",
+    "format_float_matrix",
+    "charpoly_float",
+    "normalize_to_stochastic",
+    "BasisSource",
+    "OrthoBasis",
+    "canonical_basis",
+    "user_basis",
+    "random_basis",
+    "embed",
+    "extract",
+    "realize_cospectral",
+    "realize_nonneg",
+)
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | {"orthogonal", *_FLOAT_NAMES}
+)
+
+
+def __getattr__(name: str):
+    if name == "orthogonal" or name in _FLOAT_NAMES:
+        from importlib import import_module
+
+        orthogonal = import_module(f"{__name__}.orthogonal")
+        return orthogonal if name == "orthogonal" else getattr(orthogonal, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,9 @@ feasible value (the nonnegativity threshold), and the matrices it produces.
 
 The internal parameter y_m (offset of the heaviest column) relates to eps by
 eps = n*y_m + x_m - r; both thresholds are reported.
+
+Everything here is exact.  The float diagonal scaling onto constant row sums,
+``normalize_to_stochastic``, lives in :mod:`dstoch.orthogonal`.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .core import FloatMatrix, RatMatrix, _common_row_sum, column_stats, format_matrix
-from .errors import InfeasibleError, NormalizationError, PreconditionError
+from .core import RatMatrix, _common_row_sum, column_stats, format_matrix
+from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
     "BalanceReport",
@@ -28,7 +29,6 @@ __all__ = [
     "balance",
     "balance_minimal",
     "balance_nr",
-    "normalize_to_stochastic",
 ]
 
 
@@ -185,49 +185,3 @@ def balance_nr(a: RatMatrix) -> RatMatrix:
     """
     n, r, x, _, bounds = _columns(a)
     return _balanced(a, n, r, x, bounds, (n - 1) * r)
-
-
-#: power-iteration controls for normalize_to_stochastic
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10_000
-_MIN_COMPONENT = 1e-10
-
-
-def normalize_to_stochastic(a: FloatMatrix) -> tuple[FloatMatrix, float]:
-    """Diagonal similarity onto constant row sums, by the dominant eigenvector.
-
-    For nonnegative A with strictly positive dominant eigenvector v, the
-    matrix D^-1 A D with D = diag(v) has constant row sums equal to the
-    dominant eigenvalue r, preserving the spectrum.  Power iteration runs on
-    A + I so that nonnegative matrices with several eigenvalues on the
-    spectral circle still converge; inputs whose dominant eigenvector has a
-    near-zero component (reducible matrices) are rejected.
-    """
-    n = a.require_square()
-    arr = a.to_numpy()
-    if arr.min() < 0:
-        raise PreconditionError("matrix must be entrywise nonnegative")
-    shifted = arr + np.eye(n)
-    v = np.ones(n)
-    for _ in range(_POWER_MAX_ITER):
-        lam = float(v @ (shifted @ v) / (v @ v))
-        residual = float(np.abs(shifted @ v - lam * v).max())
-        if residual <= _POWER_TOL * max(1.0, abs(lam)):
-            break
-        w = shifted @ v
-        top = float(w.max())
-        if top <= 0:
-            raise NormalizationError("power iteration collapsed to zero")
-        v = w / top
-    else:
-        raise NormalizationError(
-            f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
-        )
-    v = v / v.max()
-    if v.min() < _MIN_COMPONENT:
-        raise NormalizationError(
-            "dominant eigenvector has a near-zero component (reducible input)"
-        )
-    r = lam - 1.0
-    scaled = arr * v[np.newaxis, :] / v[:, np.newaxis]
-    return FloatMatrix(scaled), r

@@ -14,30 +14,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .balance import balance, balance_minimal, balance_nr, normalize_to_stochastic
-from .core import (
-    classify,
-    column_stats,
-    format_float_matrix,
-    format_matrix,
-    parse_float_matrix,
-    parse_matrix,
-    parse_scalar,
-)
+from .balance import balance, balance_minimal, balance_nr
+from .core import classify, column_stats, format_matrix, parse_matrix, parse_scalar
 from .errors import DstochError, FormatError
 from .nearness import cospectral_ds, ds_condition, nearest_ds, nearest_ds_distance_sq
-from .orthogonal import (
-    canonical_basis,
-    embed,
-    extract,
-    random_basis,
-    realize_cospectral,
-    realize_nonneg,
-)
 from .rado import RadoUpdate, rado_update, shift
 from .spectra import (
     charpoly,
-    charpoly_float,
     cospectral,
     format_poly,
     parse_spectrum,
@@ -45,7 +28,8 @@ from .spectra import (
     similar_to_unit_sums,
 )
 
-#: subcommands that operate on floating matrices / spectra
+#: subcommands that operate on floating matrices / spectra; their handlers
+#: import the float half only when they run
 _FLOAT_ONLY = {"embed", "extract", "realize", "realize-cospectral", "normalize"}
 
 #: value-taking flags whose argument may begin with a minus sign
@@ -58,10 +42,6 @@ def _read(path: str) -> str:
 
 def _load_matrix(path: str):
     return parse_matrix(_read(path))
-
-
-def _load_float_matrix(path: str):
-    return parse_float_matrix(_read(path))
 
 
 def _emit(ns, text: str) -> None:
@@ -194,37 +174,45 @@ def _cmd_nearest(ns) -> int:
 
 
 def _basis_for(ns, n: int):
+    from .orthogonal import canonical_basis, random_basis
+
     if ns.basis == "random":
         return random_basis(n, ns.seed)
     return canonical_basis(n)
 
 
 def _cmd_embed(ns) -> int:
-    x = _load_float_matrix(ns.matrix)
+    from .orthogonal import embed, format_float_matrix, parse_float_matrix
+
+    x = parse_float_matrix(_read(ns.matrix))
     x.require_square()
     _emit(ns, format_float_matrix(embed(_basis_for(ns, x.n_rows + 1), x)))
     return 0
 
 
 def _cmd_extract(ns) -> int:
-    a = _load_float_matrix(ns.matrix)
+    from .orthogonal import extract, format_float_matrix, parse_float_matrix
+
+    a = parse_float_matrix(_read(ns.matrix))
     a.require_square()
     _emit(ns, format_float_matrix(extract(_basis_for(ns, a.n_rows), a)))
     return 0
 
 
 def _cmd_realize_cospectral(ns) -> int:
+    from .orthogonal import format_float_matrix, realize_cospectral
+
     s = parse_spectrum(_read(ns.spectrum))
-    basis = _basis_for(ns, s.size) if ns.basis == "random" else None
-    _emit(ns, format_float_matrix(realize_cospectral(s, basis)))
+    _emit(ns, format_float_matrix(realize_cospectral(s, _basis_for(ns, s.size))))
     return 0
 
 
 def _cmd_realize(ns) -> int:
+    from .orthogonal import _lift, charpoly_float, format_float_matrix, realize_cospectral
+
     s = parse_spectrum(_read(ns.spectrum))
-    basis = _basis_for(ns, s.size) if ns.basis == "random" else None
-    b0 = realize_cospectral(s, basis)
-    k, b = realize_nonneg(s, basis)
+    b0 = realize_cospectral(s, _basis_for(ns, s.size))
+    k, b = _lift(b0)
     target = [
         (Fraction(1 + k), Fraction(0)) if i == s.perron_index else e
         for i, e in enumerate(s.entries)
@@ -242,7 +230,13 @@ def _cmd_realize(ns) -> int:
 
 
 def _cmd_normalize(ns) -> int:
-    scaled, r = normalize_to_stochastic(_load_float_matrix(ns.matrix))
+    from .orthogonal import (
+        format_float_matrix,
+        normalize_to_stochastic,
+        parse_float_matrix,
+    )
+
+    scaled, r = normalize_to_stochastic(parse_float_matrix(_read(ns.matrix)))
     _emit(ns, format_float_matrix(scaled) + f"\n# r = {r:.17g}")
     return 0
 
@@ -322,26 +316,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--distance", action="store_true", help="print the squared gap")
 
-    for name, handler, help_text in [
-        ("embed", _cmd_embed, "embed an (n-1)-block into unit row/column sums"),
-        ("extract", _cmd_extract, "recover the embedded (n-1)-block"),
-    ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("matrix")
-        p.add_argument("--basis", choices=["canonical", "random"], default="canonical")
-        p.add_argument("--seed", type=int, default=0, help="seed for --basis random")
-        p.set_defaults(handler=handler)
-
-    for name, handler, help_text in [
-        ("realize", _cmd_realize, "nonnegative realization with shifted dominant entry"),
+    for name, positional, handler, help_text in [
+        ("embed", "matrix", _cmd_embed, "embed an (n-1)-block into unit row/column sums"),
+        ("extract", "matrix", _cmd_extract, "recover the embedded (n-1)-block"),
+        (
+            "realize",
+            "spectrum",
+            _cmd_realize,
+            "nonnegative realization with shifted dominant entry",
+        ),
         (
             "realize-cospectral",
+            "spectrum",
             _cmd_realize_cospectral,
             "unit-sum realization of a spectrum",
         ),
     ]:
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("spectrum", help="path to a spectrum file")
+        p.add_argument(
+            positional,
+            help="path to a spectrum file" if positional == "spectrum" else None,
+        )
         p.add_argument("--basis", choices=["canonical", "random"], default="canonical")
         p.add_argument("--seed", type=int, default=0, help="seed for --basis random")
         p.set_defaults(handler=handler)

@@ -1,8 +1,9 @@
-"""Exact rational and floating dense matrices with stochasticity predicates.
+"""Exact rational dense matrices with stochasticity predicates.
 
-Scalars are :class:`fractions.Fraction` throughout the exact half, so every
-construction built on top of this module is bit-reproducible.  All matrix
-types are immutable values; operations return new objects.
+Scalars are :class:`fractions.Fraction` throughout, so every construction
+built on top of this module is bit-reproducible.  Matrices are immutable
+values; operations return new objects.  The float matrix type lives in
+:mod:`dstoch.orthogonal`.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DimensionError, FormatError
 
 __all__ = [
     "RatMatrix",
-    "FloatMatrix",
     "StochClass",
     "Stochasticity",
     "uniform_matrix",
@@ -30,8 +28,6 @@ __all__ = [
     "parse_scalar",
     "parse_matrix",
     "format_matrix",
-    "parse_float_matrix",
-    "format_float_matrix",
 ]
 
 
@@ -179,121 +175,6 @@ class RatMatrix:
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
 
-    def to_float(self) -> "FloatMatrix":
-        return FloatMatrix([[float(e) for e in row] for row in self._rows])
-
-
-class FloatMatrix:
-    """Dense matrix of finite 64-bit floats, immutable."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, rows):
-        if isinstance(rows, np.ndarray):
-            a = rows.astype(float, copy=True)
-        else:
-            a = np.array([[float(e) for e in row] for row in rows], dtype=float)
-        if a.ndim != 2 or a.size == 0:
-            raise DimensionError("matrix must have at least one row and column")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("float matrix entries must be finite")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def identity(cls, n: int) -> "FloatMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int | None = None) -> "FloatMatrix":
-        return cls(np.zeros((n_rows, n_rows if n_cols is None else n_cols)))
-
-    @property
-    def n_rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def require_square(self) -> int:
-        if not self.is_square:
-            raise DimensionError(f"matrix must be square, got {self.shape}")
-        return self.n_rows
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        i, j = key
-        return float(self._a[i, j])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FloatMatrix) and np.array_equal(self._a, other._a)
-
-    def __hash__(self) -> int:
-        return hash(self._a.tobytes() + bytes(str(self.shape), "ascii"))
-
-    def __repr__(self) -> str:
-        return f"FloatMatrix({self.n_rows}x{self.n_cols})"
-
-    def __add__(self, other: "FloatMatrix") -> "FloatMatrix":
-        if not isinstance(other, FloatMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FloatMatrix(self._a + other._a)
-
-    def __sub__(self, other: "FloatMatrix") -> "FloatMatrix":
-        if not isinstance(other, FloatMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FloatMatrix(self._a - other._a)
-
-    def __mul__(self, scalar) -> "FloatMatrix":
-        if not isinstance(scalar, (int, float, Rational)):
-            return NotImplemented
-        return FloatMatrix(self._a * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "FloatMatrix") -> "FloatMatrix":
-        if not isinstance(other, FloatMatrix):
-            return NotImplemented
-        if self.n_cols != other.n_rows:
-            raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        return FloatMatrix(self._a @ other._a)
-
-    def transpose(self) -> "FloatMatrix":
-        return FloatMatrix(self._a.T)
-
-    @property
-    def T(self) -> "FloatMatrix":
-        return self.transpose()
-
-    def row_sums(self) -> tuple[float, ...]:
-        return tuple(float(s) for s in self._a.sum(axis=1))
-
-    def col_sums(self) -> tuple[float, ...]:
-        return tuple(float(s) for s in self._a.sum(axis=0))
-
-    def min_entry(self) -> float:
-        return float(self._a.min())
-
-    def to_numpy(self) -> np.ndarray:
-        return self._a.copy()
-
-    def allclose(self, other: "FloatMatrix", tol: float) -> bool:
-        return self.shape == other.shape and bool(
-            np.all(np.abs(self._a - other._a) <= tol)
-        )
-
 
 class Stochasticity(enum.Enum):
     """Row/column-sum structure tags, from least to most specific."""
@@ -417,32 +298,3 @@ def parse_matrix(text: str) -> RatMatrix:
 def format_matrix(a: RatMatrix) -> str:
     """Canonical text form: lowest-terms entries, single spaces, one row per line."""
     return "\n".join(" ".join(str(e) for e in row) for row in a.rows)
-
-
-def parse_float_matrix(text: str) -> FloatMatrix:
-    """Parse a matrix in floating mode; accepts float literals and p/q entries."""
-    rows = []
-    for line in _data_lines(text):
-        row = []
-        for tok in line.split():
-            try:
-                row.append(float(tok))
-            except ValueError:
-                try:
-                    row.append(float(Fraction(tok)))
-                except (ValueError, ZeroDivisionError):
-                    raise FormatError(f"bad float entry {tok!r}") from None
-        rows.append(row)
-    if not rows:
-        raise FormatError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise FormatError("all rows must have the same number of entries")
-    return FloatMatrix(rows)
-
-
-def format_float_matrix(a: FloatMatrix) -> str:
-    """Text form with 17 significant digits, enough to round-trip every float."""
-    return "\n".join(
-        " ".join(format(a[i, j], ".17g") for j in range(a.n_cols))
-        for i in range(a.n_rows)
-    )

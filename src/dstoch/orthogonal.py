@@ -1,14 +1,16 @@
-"""Orthogonal embedding of (n-1)-order blocks into unit row/column sum matrices.
+"""The floating-point half: float matrices, orthogonal embeddings, realizations.
 
 Conjugating 1 (+) X by an orthogonal matrix whose first column is the
 normalized all-ones vector produces a matrix with all row and column sums 1
 and spectrum {1} union spectrum(X); the inverse direction recovers X.  Built
 on that: realize any conjugate-closed spectrum with dominant entry 1 as such
 a matrix via a companion block, and lift it to a nonnegative matrix by a
-uniform shift.
+uniform shift.  Alongside: the float matrix type and its text format, the
+Faddeev-LeVerrier recurrence over floats, and the diagonal similarity of a
+nonnegative matrix onto constant row sums.
 
-This is the floating-point half of the package; tolerances are fixed module
-constants.
+This is the only module that imports numpy; the exact modules never load it.
+Tolerances are fixed module constants.
 """
 
 from __future__ import annotations
@@ -20,11 +22,23 @@ from math import sqrt
 
 import numpy as np
 
-from .core import FloatMatrix
-from .errors import BasisError, DimensionError, MembershipError, PreconditionError
+from .core import _data_lines
+from .errors import (
+    BasisError,
+    DimensionError,
+    FormatError,
+    MembershipError,
+    NormalizationError,
+    PreconditionError,
+)
 from .spectra import SpectrumList, companion, poly_from_spectrum
 
 __all__ = [
+    "FloatMatrix",
+    "parse_float_matrix",
+    "format_float_matrix",
+    "charpoly_float",
+    "normalize_to_stochastic",
     "BasisSource",
     "OrthoBasis",
     "canonical_basis",
@@ -50,6 +64,127 @@ EXTRACT_TOL = 1e-8
 SPECTRAL_TOL = 1e-9
 #: entries above this count as nonnegative (float assembly noise)
 NONNEG_TOL = -1e-10
+
+
+class FloatMatrix:
+    """Dense matrix of finite 64-bit floats, immutable."""
+
+    __slots__ = ("_a",)
+
+    def __init__(self, rows):
+        if isinstance(rows, np.ndarray):
+            a = rows.astype(float, copy=True)
+        else:
+            a = np.array([[float(e) for e in row] for row in rows], dtype=float)
+        if a.ndim != 2 or a.size == 0:
+            raise DimensionError("matrix must have at least one row and column")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("float matrix entries must be finite")
+        a.setflags(write=False)
+        self._a = a
+
+    @classmethod
+    def identity(cls, n: int) -> "FloatMatrix":
+        return cls(np.eye(n))
+
+    @classmethod
+    def zeros(cls, n_rows: int, n_cols: int | None = None) -> "FloatMatrix":
+        return cls(np.zeros((n_rows, n_rows if n_cols is None else n_cols)))
+
+    @property
+    def n_rows(self) -> int:
+        return self._a.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self._a.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._a.shape
+
+    @property
+    def is_square(self) -> bool:
+        return self.n_rows == self.n_cols
+
+    def require_square(self) -> int:
+        if not self.is_square:
+            raise DimensionError(f"matrix must be square, got {self.shape}")
+        return self.n_rows
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        i, j = key
+        return float(self._a[i, j])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FloatMatrix) and np.array_equal(self._a, other._a)
+
+    def __repr__(self) -> str:
+        return f"FloatMatrix({self.n_rows}x{self.n_cols})"
+
+    def row_sums(self) -> tuple[float, ...]:
+        return tuple(float(s) for s in self._a.sum(axis=1))
+
+    def col_sums(self) -> tuple[float, ...]:
+        return tuple(float(s) for s in self._a.sum(axis=0))
+
+    def min_entry(self) -> float:
+        return float(self._a.min())
+
+    def to_numpy(self) -> np.ndarray:
+        return self._a.copy()
+
+    def allclose(self, other: "FloatMatrix", tol: float) -> bool:
+        return self.shape == other.shape and bool(
+            np.all(np.abs(self._a - other._a) <= tol)
+        )
+
+
+def parse_float_matrix(text: str) -> FloatMatrix:
+    """Parse a matrix in floating mode; accepts float literals and p/q entries."""
+    rows = []
+    for line in _data_lines(text):
+        row = []
+        for tok in line.split():
+            try:
+                row.append(float(tok))
+            except ValueError:
+                try:
+                    row.append(float(Fraction(tok)))
+                except (ValueError, ZeroDivisionError):
+                    raise FormatError(f"bad float entry {tok!r}") from None
+        rows.append(row)
+    if not rows:
+        raise FormatError("no matrix rows found")
+    if len({len(r) for r in rows}) != 1:
+        raise FormatError("all rows must have the same number of entries")
+    return FloatMatrix(rows)
+
+
+def format_float_matrix(a: FloatMatrix) -> str:
+    """Text form with 17 significant digits, enough to round-trip every float."""
+    return "\n".join(
+        " ".join(format(a[i, j], ".17g") for j in range(a.n_cols))
+        for i in range(a.n_rows)
+    )
+
+
+def charpoly_float(a: FloatMatrix) -> tuple[float, ...]:
+    """The Faddeev-LeVerrier recurrence of ``spectra.charpoly`` over floats;
+    coefficients lowest degree first."""
+    n = a.require_square()
+    arr = a.to_numpy()
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    am = np.zeros((n, n))
+    c = 1.0
+    ident = np.eye(n)
+    for k in range(1, n + 1):
+        m = am + c * ident
+        am = arr @ m
+        c = -np.trace(am) / k
+        coeffs[n - k] = c
+    return tuple(float(x) for x in coeffs)
 
 
 class BasisSource(enum.Enum):
@@ -195,7 +330,7 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
     if n == 1:
         return FloatMatrix([[1.0]])
     c = companion(poly_from_spectrum(s.rest()))
-    return embed(basis, c.to_float())
+    return embed(basis, FloatMatrix(c.rows))
 
 
 def realize_nonneg(
@@ -210,11 +345,61 @@ def realize_nonneg(
     that are nonnegative up to float roundoff keep k = 0.  Returns
     (k, shifted matrix).
     """
-    b0 = realize_cospectral(s, basis)
+    return _lift(realize_cospectral(s, basis))
+
+
+def _lift(b0: FloatMatrix) -> tuple[float, FloatMatrix]:
+    """The uniform shift of :func:`realize_nonneg`, applied to its unit-sum
+    realization b0."""
     n = b0.n_rows
     low = b0.min_entry()
     if low >= NONNEG_TOL:
         return 0.0, b0
     k = n * -low
-    shifted = FloatMatrix(b0.to_numpy() + k / n)
-    return k, shifted
+    return k, FloatMatrix(b0.to_numpy() + k / n)
+
+
+#: power-iteration controls for normalize_to_stochastic
+_POWER_TOL = 1e-12
+_POWER_MAX_ITER = 10_000
+_MIN_COMPONENT = 1e-10
+
+
+def normalize_to_stochastic(a: FloatMatrix) -> tuple[FloatMatrix, float]:
+    """Diagonal similarity onto constant row sums, by the dominant eigenvector.
+
+    For nonnegative A with strictly positive dominant eigenvector v, the
+    matrix D^-1 A D with D = diag(v) has constant row sums equal to the
+    dominant eigenvalue r, preserving the spectrum.  Power iteration runs on
+    A + I so that nonnegative matrices with several eigenvalues on the
+    spectral circle still converge; inputs whose dominant eigenvector has a
+    near-zero component (reducible matrices) are rejected.
+    """
+    n = a.require_square()
+    arr = a.to_numpy()
+    if arr.min() < 0:
+        raise PreconditionError("matrix must be entrywise nonnegative")
+    shifted = arr + np.eye(n)
+    v = np.ones(n)
+    for _ in range(_POWER_MAX_ITER):
+        lam = float(v @ (shifted @ v) / (v @ v))
+        residual = float(np.abs(shifted @ v - lam * v).max())
+        if residual <= _POWER_TOL * max(1.0, abs(lam)):
+            break
+        w = shifted @ v
+        top = float(w.max())
+        if top <= 0:
+            raise NormalizationError("power iteration collapsed to zero")
+        v = w / top
+    else:
+        raise NormalizationError(
+            f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
+        )
+    v = v / v.max()
+    if v.min() < _MIN_COMPONENT:
+        raise NormalizationError(
+            "dominant eigenvector has a near-zero component (reducible input)"
+        )
+    r = lam - 1.0
+    scaled = arr * v[np.newaxis, :] / v[:, np.newaxis]
+    return FloatMatrix(scaled), r

@@ -1,8 +1,9 @@
 """Characteristic polynomials, spectra, companion matrices, exact nullspaces.
 
-Everything on the rational side is exact: the characteristic polynomial is
-computed by the Faddeev-LeVerrier recurrence over Fractions, so cospectrality
-is decidable by literal polynomial equality with no root finding anywhere.
+Everything here is exact: the characteristic polynomial is computed by the
+Faddeev-LeVerrier recurrence over Fractions, so cospectrality is decidable by
+literal polynomial equality with no root finding anywhere.  The same
+recurrence over floats, ``charpoly_float``, lives in :mod:`dstoch.orthogonal`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .core import FloatMatrix, RatMatrix, _data_lines, parse_scalar
+from .core import RatMatrix, _data_lines, parse_scalar
 from .errors import (
     ConjugacyError,
     DimensionError,
@@ -29,7 +28,6 @@ __all__ = [
     "Poly",
     "SpectrumList",
     "charpoly",
-    "charpoly_float",
     "cospectral",
     "poly_from_spectrum",
     "companion",
@@ -149,23 +147,6 @@ def charpoly(a: RatMatrix) -> Poly:
         c = Fraction(-am.trace(), k)
         coeffs[n - k] = c
     return Poly(coeffs)
-
-
-def charpoly_float(a: FloatMatrix) -> tuple[float, ...]:
-    """Same recurrence instantiated over floats; coefficients lowest degree first."""
-    n = a.require_square()
-    arr = a.to_numpy()
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    am = np.zeros((n, n))
-    c = 1.0
-    ident = np.eye(n)
-    for k in range(1, n + 1):
-        m = am + c * ident
-        am = arr @ m
-        c = -np.trace(am) / k
-        coeffs[n - k] = c
-    return tuple(float(x) for x in coeffs)
 
 
 def cospectral(a: RatMatrix, b: RatMatrix) -> bool:

@@ -237,7 +237,7 @@ class TestBalanceNr:
 
 class TestNormalizeToStochastic:
     def test_stochastic_is_exact_fixed_point(self):
-        a = A_UNEVEN.to_float()
+        a = FloatMatrix(A_UNEVEN.rows)
         out, r = normalize_to_stochastic(a)
         assert out == a
         assert r == 1.0

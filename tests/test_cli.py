@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dstoch
+import dstoch.orthogonal
 from dstoch import format_matrix, nearest_ds, parse_float_matrix, parse_matrix
 from dstoch.cli import run
 from oracles import A_UNEVEN, A_ZEROCOL, B_PROJ, X_MIN
@@ -131,6 +137,23 @@ class TestFloatCommands:
         m = parse_float_matrix("\n".join(out))
         assert m.n_rows == 3
 
+    def test_realize_builds_its_realization_once(self, files, capsys, monkeypatch):
+        # one realization is one realize_cospectral and one embed; embed is
+        # counted too because it is reached however realize_cospectral is bound
+        calls = {"realize_cospectral": 0, "embed": 0}
+        for name in calls:
+            real = getattr(dstoch.orthogonal, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(dstoch.orthogonal, name, counted)
+        assert run(["realize", files["spectrum"]]) == 0
+        assert calls == {"realize_cospectral": 1, "embed": 1}
+        assert run(["realize", files["spectrum"], "--basis", "random", "--seed", "3"]) == 0
+        assert calls == {"realize_cospectral": 2, "embed": 2}
+
     def test_realize_cospectral_random_basis_seeded(self, files, capsys):
         assert run(["realize-cospectral", files["spectrum"], "--basis", "random", "--seed", "5"]) == 0
         first = capsys.readouterr().out
@@ -200,3 +223,52 @@ class TestErrorPaths:
         # 1/3 and 1/3 + 1e-11: close, but not an exact conjugate pair
         bad.write_text("1\n1/2+1/3 i\n1/2-100000000003/300000000000 i\n")
         assert run(["realize", str(bad)]) == 3
+
+
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import dstoch, dstoch.cli
+assert "numpy" not in sys.modules, "importing dstoch.cli loaded numpy"
+sys.modules["numpy"] = None  # any later `import numpy` raises ImportError
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(dstoch.cli.run(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_exact_subcommands_run_without_numpy(files, tmp_path):
+    diag = tmp_path / "diag.mat"
+    diag.write_text("2 0\n0 1\n")
+    x = tmp_path / "x.mat"
+    x.write_text("1\n0\n")
+    c = tmp_path / "c.mat"
+    c.write_text("1/3 -1/5\n")
+    a, z, b = files["a"], files["z"], files["b"]
+    calls = [
+        ["classify", a],
+        ["colstats", a],
+        ["charpoly", a],
+        ["cospectral", z, b],
+        ["check41", z],
+        ["shift", "--eps", "1/2", a],
+        ["rado", str(diag), str(x), str(c), "--eigenvalues", "2"],
+        ["threshold", a],
+        ["balance", "--eps", "-1/2", a],
+        ["balance-min", a],
+        ["t33", a],
+        ["check4", z],
+        ["cospectral-ds", z],
+        ["nearest", z],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(dstoch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, json.dumps(calls)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(calls)
