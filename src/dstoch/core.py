@@ -32,6 +32,8 @@ __all__ = [
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         # floats are rejected: exact constructions must never absorb rounding
         raise TypeError("exact matrices take Fraction/int entries, not float")

@@ -21,7 +21,6 @@ from .core import (
     classify,
     column_stats,
     frobenius_distance_sq,
-    uniform_matrix,
 )
 from .errors import InfeasibleError, PreconditionError
 
@@ -123,13 +122,20 @@ def cospectral_ds(a: RatMatrix) -> RatMatrix:
 def nearest_ds(a: RatMatrix) -> RatMatrix:
     """Frobenius-nearest matrix with all row and column sums 1.
 
-    Defined for any square matrix as (I-J)A(I-J) + J.  Entries of the output
-    may be negative; classify() tells whether it is doubly stochastic.
+    Defined for any square matrix as (I-J)A(I-J) + J, computed in one O(n^2)
+    pass from the closed form b_ij = a_ij - r_i/n - x_j/n + (s/n + 1)/n, with
+    r_i the row sums, x_j the column sums and s the total.  Entries of the
+    output may be negative; classify() tells whether it is doubly stochastic.
     """
     n = a.require_square()
-    j = uniform_matrix(n)
-    p = RatMatrix.identity(n) - j
-    return p @ a @ p + j
+    r = a.row_sums()
+    x = a.col_sums()
+    c = (sum(r) / n + 1) / n
+    u = [c - r_i / n for r_i in r]
+    w = [x_j / n for x_j in x]
+    return RatMatrix(
+        [[e + u_i - w_j for e, w_j in zip(row, w)] for row, u_i in zip(a.rows, u)]
+    )
 
 
 def nearest_ds_distance_sq(a: RatMatrix) -> Fraction:

@@ -1,9 +1,11 @@
 """Characteristic polynomials, spectra, companion matrices, exact nullspaces.
 
 Everything here is exact: the characteristic polynomial is computed by the
-Faddeev-LeVerrier recurrence over Fractions, so cospectrality is decidable by
-literal polynomial equality with no root finding anywhere.  The same
-recurrence over floats, ``charpoly_float``, lives in :mod:`dstoch.orthogonal`.
+Faddeev-LeVerrier recurrence over Python ints after clearing denominators, so
+cospectrality is decidable by literal polynomial equality with no root
+finding anywhere.  Nullspaces come from fraction-free (Bareiss) Gauss-Jordan
+elimination over ints.  The same recurrence over floats, ``charpoly_float``,
+lives in :mod:`dstoch.orthogonal`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import re
 import warnings
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import RatMatrix, _data_lines, parse_scalar
@@ -129,24 +133,35 @@ def format_poly(p: Poly) -> str:
     return " ".join(str(c) for c in p.coefficients)
 
 
+def _lcm_denominator(entries: Iterable[Fraction]) -> int:
+    return lcm(*(e.denominator for e in entries))
+
+
 def charpoly(a: RatMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - A), exact.
 
-    Faddeev-LeVerrier recurrence: M_k = A M_{k-1} + c_{n-k+1} I and
-    c_{n-k} = -tr(A M_k)/k; the divisions by k are exact over Fractions.
+    With D the LCM of all entry denominators, B = D*A is an integer matrix,
+    and the Faddeev-LeVerrier recurrence M_k = B M_{k-1} + c_{n-k+1} I,
+    c_{n-k} = -tr(B M_k)/k runs over Python ints: the c_i are the integer
+    coefficients of det(xI - B), so every division by k is exact.  One D for
+    the whole matrix matters, since det(xI - B) = D^n det(x/D I - A) gives
+    the coefficient of x^i of A as c_i / D^(n-i).
     """
     n = a.require_square()
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = RatMatrix.identity(n)
-    am = RatMatrix.zeros(n)
-    c = Fraction(1)
+    d = _lcm_denominator(e for row in a.rows for e in row)
+    b = [[e.numerator * (d // e.denominator) for e in row] for row in a.rows]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    am = [[0] * n for _ in range(n)]
+    c = 1
     for k in range(1, n + 1):
-        m = am + c * ident
-        am = a @ m
-        c = Fraction(-am.trace(), k)
+        for i in range(n):
+            am[i][i] += c
+        cols = list(zip(*am))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        c = -sum(am[i][i] for i in range(n)) // k
         coeffs[n - k] = c
-    return Poly(coeffs)
+    return Poly(Fraction(c_i, d ** (n - i)) for i, c_i in enumerate(coeffs))
 
 
 def cospectral(a: RatMatrix, b: RatMatrix) -> bool:
@@ -327,25 +342,47 @@ def companion(p: Poly) -> RatMatrix:
 def nullspace(a: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the kernel of a square matrix.
 
-    Gaussian elimination to reduced row echelon form; pivots are the first
-    nonzero entry per column, which keeps the output deterministic.  Returns
-    an empty list when the matrix is nonsingular.
+    The matrix is made integer by scaling either each row by the LCM of its
+    denominators, which leaves the kernel unchanged, or each column, as A C
+    with C diagonal, whose kernel vectors v give C v for A.  Every entry of
+    the elimination is a minor of the scaled matrix and carries the product
+    of the scales, so the side with the smaller product is used (rows for
+    A - I with A stochastic, columns for its transpose).
+
+    Fraction-free Gauss-Jordan elimination then runs over ints:
+    m[r] <- (p*m[r] - f*m[pivot row]) / prev, where p is the new pivot and
+    prev the one before it, and the division is exact (Bareiss).  Pivots are
+    the first nonzero entry per column, which keeps the output deterministic;
+    at the end every pivot row holds the last pivot, so the basis is read off
+    the reduced row echelon form exactly.  Returns an empty list when the
+    matrix is nonsingular.
     """
     n = a.require_square()
-    m = [list(row) for row in a.rows]
+    row_scale = [_lcm_denominator(row) for row in a.rows]
+    col_scale = [_lcm_denominator(col) for col in zip(*a.rows)]
+    if sum(map(int.bit_length, row_scale)) <= sum(map(int.bit_length, col_scale)):
+        col_scale = [1] * n
+    else:
+        row_scale = [1] * n
+    m = [
+        [e.numerator * (r_i * c_j // e.denominator) for e, c_j in zip(row, col_scale)]
+        for row, r_i in zip(a.rows, row_scale)
+    ]
     pivot_cols: list[int] = []
     row = 0
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [e * inv for e in m[row]]
+        top = m[row]
+        p = top[col]
         for r in range(n):
-            if r != row and m[r][col] != 0:
+            if r != row:
                 f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[row])]
+                m[r] = [(p * e - f * t) // prev for e, t in zip(m[r], top)]
+        prev = p
         pivot_cols.append(col)
         row += 1
         if row == n:
@@ -356,7 +393,7 @@ def nullspace(a: RatMatrix) -> list[tuple[Fraction, ...]]:
         v = [Fraction(0)] * n
         v[free] = Fraction(1)
         for r, c in enumerate(pivot_cols):
-            v[c] = -m[r][free]
+            v[c] = Fraction(-m[r][free] * col_scale[c], prev * col_scale[free])
         basis.append(tuple(v))
     return basis
 

@@ -2,7 +2,8 @@
 
 Every oracle here recomputes a quantity along a different path than the
 library (termwise inequality scans, generic linear solves, cofactor
-determinants), so agreement is evidence, not tautology.
+determinants, Fraction row reduction, literal matrix products), so agreement
+is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -80,6 +81,33 @@ def rand_doubly_stochastic(rng: random.Random, n: int, terms: int = 3) -> RatMat
     return acc
 
 
+def rand_rank_deficient(rng: random.Random, n: int, max_den: int = 997) -> RatMatrix:
+    """Singular matrix: fewer than n sparse random rows plus rational
+    combinations of them (all zero when there are none), shuffled so that
+    pivots often need a row swap, and sometimes with a zeroed column.
+    Entry denominators up to max_den before the combinations mix them."""
+    rank = rng.randint(0, n - 1)
+    base = [
+        [
+            Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+            if rng.random() < 0.7
+            else Fraction(0)
+            for _ in range(n)
+        ]
+        for _ in range(rank)
+    ]
+    rows = list(base)
+    for _ in range(n - rank):
+        coefs = [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coefs, base)) for j in range(n)])
+    rng.shuffle(rows)
+    if rng.random() < 0.4:
+        zero = rng.randrange(n)
+        for r in rows:
+            r[zero] = Fraction(0)
+    return RatMatrix(rows)
+
+
 def rand_invertible(rng: random.Random, n: int) -> RatMatrix:
     while True:
         m = rand_matrix(rng, n, lo=-2, hi=2, max_den=2)
@@ -128,6 +156,48 @@ def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
                 f = m[r][col]
                 m[r] = [e - f * p for e, p in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
+
+
+def nullspace_rref(a: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off the reduced row echelon form, computed over
+    Fractions with the library's pivot rule (first nonzero entry per column).
+    RREF is unique, so any exact kernel with that rule returns these tuples."""
+    n = a.require_square()
+    m = [list(row) for row in a.rows]
+    pivot_cols: list[int] = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [e * inv for e in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [e - f * p for e, p in zip(m[r], m[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == n:
+            break
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    basis = []
+    for free in free_cols:
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivot_cols):
+            v[c] = -m[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def nearest_ds_matmul(a: RatMatrix) -> RatMatrix:
+    """The projection (I-J)A(I-J) + J as two literal matrix products."""
+    n = a.require_square()
+    j = RatMatrix([[Fraction(1, n)] * n for _ in range(n)])
+    p = RatMatrix.identity(n) - j
+    return p @ a @ p + j
 
 
 def charpoly_cofactor(a: RatMatrix) -> Poly:

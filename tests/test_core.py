@@ -47,6 +47,16 @@ class TestRatMatrix:
         with pytest.raises(TypeError):
             RatMatrix([[0.5]])
 
+    def test_entries_are_exactly_fractions(self):
+        class Tagged(Fraction):
+            pass
+
+        q = Fraction(1, 3)
+        m = RatMatrix([[q, Tagged(2, 5), 7]])
+        assert m[0, 0] is q
+        assert [type(e) for e in m.row(0)] == [Fraction] * 3
+        assert m.row(0) == (Fraction(1, 3), Fraction(2, 5), 7)
+
     def test_arithmetic(self):
         a = RatMatrix([[1, 2], [3, 4]])
         b = RatMatrix([[0, 1], [1, 0]])

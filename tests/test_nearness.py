@@ -26,6 +26,7 @@ from oracles import (
     A_UNEVEN,
     A_ZEROCOL,
     B_PROJ,
+    nearest_ds_matmul,
     rand_matrix,
     rand_stochastic,
     rand_unit_sums,
@@ -172,6 +173,15 @@ class TestNearestDs:
             a = rand_stochastic(rng, n)
             j = uniform_matrix(n)
             assert nearest_ds(a) == a - j @ a + j
+
+    def test_equals_literal_projection(self):
+        rng = random.Random(67)
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            a = rand_matrix(rng, n, lo=-9, hi=9, max_den=rng.choice([1, 6, 97]))
+            b = nearest_ds_matmul(a)
+            assert nearest_ds(a) == b
+            assert nearest_ds_distance_sq(a) == frobenius_distance_sq(a, b)
 
 
 class TestNearestDsDistance:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +30,17 @@ from oracles import (
     B_PROJ,
     charpoly_cofactor,
     invert,
+    nullspace_rref,
     rand_doubly_stochastic,
     rand_invertible,
     rand_matrix,
+    rand_rank_deficient,
+    rand_stochastic,
 )
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+WIDE_PRIMES = [p for p in range(907, 998) if all(p % q for q in range(2, 32))]
 
 
 def block_diag(*blocks: RatMatrix) -> RatMatrix:
@@ -93,6 +99,41 @@ class TestCharpoly:
         for _ in range(40):
             m = rand_matrix(rng, rng.randint(1, 4))
             assert charpoly(m) == charpoly_cofactor(m)
+
+    def test_wide_prime_denominators_against_cofactor(self):
+        # distinct primes 907..997 in every entry: the common denominator D
+        # exceeds 2^64, so the integer recurrence runs on big ints
+        rng = random.Random(47)
+        for _ in range(12):
+            n = rng.randint(3, 5)
+            primes = rng.sample(WIDE_PRIMES, len(WIDE_PRIMES))
+            entries = [
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), primes[k % len(primes)])
+                for k in range(n * n)
+            ]
+            m = RatMatrix([entries[i * n : (i + 1) * n] for i in range(n)])
+            assert lcm(*(e.denominator for row in m.rows for e in row)) > 2**64
+            assert charpoly(m) == charpoly_cofactor(m)
+
+    def test_negative_and_integer_entries_against_cofactor(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            negative = rand_matrix(rng, n, lo=-40, hi=-1, max_den=30)
+            integer = RatMatrix(
+                [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            )
+            assert charpoly(negative) == charpoly_cofactor(negative)
+            assert charpoly(integer) == charpoly_cofactor(integer)
+            assert all(c.denominator == 1 for c in charpoly(integer).coefficients)
+
+    def test_order_one_and_zero_matrix(self):
+        for q in (Fraction(0), Fraction(-7, 997), Fraction(5), Fraction(3, 4)):
+            m = RatMatrix([[q]])
+            assert charpoly(m) == charpoly_cofactor(m) == Poly([-q, 1])
+        for n in range(1, 6):
+            zero = RatMatrix.zeros(n)
+            assert charpoly(zero) == charpoly_cofactor(zero) == Poly([0] * n + [1])
 
     def test_similarity_invariance(self):
         rng = random.Random(9)
@@ -237,6 +278,32 @@ class TestNullspace:
                 # is nonsingular over the rationals
                 stacked = RatMatrix(list(basis))
                 assert nullspace(stacked @ stacked.T) == []
+
+    def test_equals_rref_oracle_on_rank_deficient_matrices(self):
+        rng = random.Random(59)
+        seen = {"zero_row": 0, "zero_col": 0, "swap": 0, "wide_den": 0}
+        for _ in range(300):
+            m = rand_rank_deficient(rng, rng.randint(1, 9))
+            basis = nullspace(m)
+            assert basis == nullspace_rref(m)
+            assert basis
+            rows, cols = m.rows, list(zip(*m.rows))
+            seen["zero_row"] += any(not any(r) for r in rows)
+            seen["zero_col"] += any(not any(c) for c in cols)
+            seen["swap"] += rows[0][0] == 0 and any(cols[0])
+            seen["wide_den"] += any(e.denominator > 900 for r in rows for e in r)
+        assert min(seen.values()) >= 20, seen
+
+    def test_equals_rref_oracle_on_unit_eigenspaces(self):
+        # rows of A - I share a denominator per row, columns of A^T - I per
+        # column: the two ways of clearing denominators
+        rng = random.Random(71)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            a = rand_stochastic(rng, n, max_den=997)
+            ident = RatMatrix.identity(n)
+            for m in (a - ident, a.T - ident):
+                assert nullspace(m) == nullspace_rref(m)
 
 
 class TestSimilarToUnitSums:
