@@ -12,6 +12,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Iterable
 
@@ -251,12 +252,25 @@ def classify(a: RatMatrix) -> StochClass:
     return StochClass(Stochasticity.R_GEN_STOCHASTIC, r)
 
 
+def _lcm_denominator(entries: Iterable[Fraction]) -> int:
+    return lcm(*(e.denominator for e in entries))
+
+
 def frobenius_distance_sq(a: RatMatrix, b: RatMatrix) -> Fraction:
-    """Squared Frobenius distance; squared so the value stays rational."""
+    """Squared Frobenius distance; squared so the value stays rational.
+
+    With D the LCM of every denominator of both matrices, D*x - D*y is an
+    int for each entry pair, so the sum of squares runs over Python ints and
+    is divided by D^2 once.
+    """
     a._require_same_shape(b)
-    return sum(
-        (x - y) ** 2 for r1, r2 in zip(a.rows, b.rows) for x, y in zip(r1, r2)
+    d = _lcm_denominator(e for m in (a, b) for row in m.rows for e in row)
+    total = sum(
+        (x.numerator * (d // x.denominator) - y.numerator * (d // y.denominator)) ** 2
+        for r1, r2 in zip(a.rows, b.rows)
+        for x, y in zip(r1, r2)
     )
+    return Fraction(total, d * d)
 
 
 _ENTRY_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?$")

@@ -31,7 +31,7 @@ from .errors import (
     NormalizationError,
     PreconditionError,
 )
-from .spectra import SpectrumList, companion, poly_from_spectrum
+from .spectra import SpectrumList, poly_from_spectrum
 
 __all__ = [
     "FloatMatrix",
@@ -309,8 +309,7 @@ def extract(basis: OrthoBasis, a: FloatMatrix) -> FloatMatrix:
 
 
 def _require_unit_perron(s: SpectrumList) -> None:
-    re_p, im_p = s.perron
-    if abs(re_p - 1) > Fraction(1, 10**12) or abs(im_p) > Fraction(1, 10**12):
+    if s.perron != (1, 0):
         raise PreconditionError("designated dominant entry must equal 1")
 
 
@@ -318,8 +317,12 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
     """Matrix with unit row/column sums realizing a spectrum whose dominant
     entry is 1.
 
-    The non-dominant entries go through their companion matrix, embedded via
-    the canonical basis unless another is supplied.
+    The non-dominant entries go through the companion matrix of their
+    polynomial, embedded via the canonical basis unless another is supplied.
+    The float block is built from the polynomial's coefficients: ones on the
+    superdiagonal and last row float(-c_j), the same floats as the entries
+    of ``spectra.companion`` (float(-c), not -float(c), so that a zero
+    coefficient stays +0.0).
     """
     _require_unit_perron(s)
     n = s.size
@@ -329,8 +332,10 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
         raise DimensionError(f"basis order {basis.n} does not match spectrum size {n}")
     if n == 1:
         return FloatMatrix([[1.0]])
-    c = companion(poly_from_spectrum(s.rest()))
-    return embed(basis, FloatMatrix(c.rows))
+    k = n - 1
+    block = np.eye(k, k, 1)
+    block[-1] = [float(-c) for c in poly_from_spectrum(s.rest()).coefficients[:k]]
+    return embed(basis, FloatMatrix(block))
 
 
 def realize_nonneg(

@@ -14,12 +14,11 @@ import re
 import warnings
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
-from .core import RatMatrix, _data_lines, parse_scalar
+from .core import RatMatrix, _data_lines, _lcm_denominator, parse_scalar
 from .errors import (
     ConjugacyError,
     DimensionError,
@@ -131,10 +130,6 @@ class Poly:
 def format_poly(p: Poly) -> str:
     """One line of space-separated coefficients, lowest degree first."""
     return " ".join(str(c) for c in p.coefficients)
-
-
-def _lcm_denominator(entries: Iterable[Fraction]) -> int:
-    return lcm(*(e.denominator for e in entries))
 
 
 def charpoly(a: RatMatrix) -> Poly:
@@ -308,19 +303,37 @@ def poly_from_spectrum(spectrum) -> Poly:
     positive imaginary part and its conjugate enter as one real quadratic,
     so the result is real by construction and exact.
     Accepts a SpectrumList or any iterable of (re, im) pairs / rationals.
+
+    With D the LCM of every real and imaginary denominator, the roots D*re
+    + D*im i have integer parts a and b, so each factor x - a or
+    x^2 - 2a x + a^2 + b^2 is an int list and their product q runs over
+    Python ints.  q has the roots scaled by D, which gives the coefficient
+    of x^i as q_i / D^(deg-i), as in :func:`charpoly`.
     """
     if isinstance(spectrum, SpectrumList):
         entries = spectrum.entries
     else:
         entries = tuple(_coerce_entry(e) for e in spectrum)
     _require_conjugate_closed(entries)
-    p = Poly([1])
+    d = _lcm_denominator(part for entry in entries for part in entry)
+    q = [1]
     for re_k, im_k in entries:
-        if im_k > 0:
-            p = p * Poly([re_k * re_k + im_k * im_k, -2 * re_k, 1])
-        elif im_k == 0:
-            p = p * Poly.x_minus(re_k)
-    return p
+        if im_k < 0:
+            continue
+        a = re_k.numerator * (d // re_k.denominator)
+        if im_k == 0:
+            # (x - a) q
+            q = [s - a * t for s, t in zip([0, *q], [*q, 0])]
+        else:
+            b = im_k.numerator * (d // im_k.denominator)
+            c = a * a + b * b
+            # (x^2 - 2a x + c) q
+            q = [
+                s - 2 * a * t + c * u
+                for s, t, u in zip([0, 0, *q], [0, *q, 0], [*q, 0, 0])
+            ]
+    deg = len(q) - 1
+    return Poly(Fraction(q_i, d ** (deg - i)) for i, q_i in enumerate(q))
 
 
 def companion(p: Poly) -> RatMatrix:

@@ -200,6 +200,20 @@ def nearest_ds_matmul(a: RatMatrix) -> RatMatrix:
     return p @ a @ p + j
 
 
+def poly_from_roots_product(entries) -> Poly:
+    """Monic polynomial of a conjugate-closed list of (re, im) pairs, as a
+    product of Fraction ``Poly`` factors: x - re for each real entry and
+    x^2 - 2 re x + re^2 + im^2 for each entry with im > 0."""
+    p = Poly([1])
+    for re_k, im_k in entries:
+        re_k, im_k = Fraction(re_k), Fraction(im_k)
+        if im_k > 0:
+            p = p * Poly([re_k * re_k + im_k * im_k, -2 * re_k, 1])
+        elif im_k == 0:
+            p = p * Poly.x_minus(re_k)
+    return p
+
+
 def charpoly_cofactor(a: RatMatrix) -> Poly:
     """det(xI - A) by recursive cofactor expansion over polynomial entries."""
     n = a.require_square()

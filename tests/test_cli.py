@@ -224,6 +224,12 @@ class TestErrorPaths:
         bad.write_text("1\n1/2+1/3 i\n1/2-100000000003/300000000000 i\n")
         assert run(["realize", str(bad)]) == 3
 
+    def test_dominant_entry_must_be_exactly_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spectrum"
+        bad.write_text("1.0000000000001\n0\n")
+        assert run(["realize-cospectral", str(bad)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys

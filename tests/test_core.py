@@ -183,6 +183,21 @@ class TestFrobenius:
         with pytest.raises(DimensionError):
             frobenius_distance_sq(RatMatrix.zeros(2), RatMatrix.zeros(3))
 
+    def test_equals_fraction_sum_with_wide_denominators(self):
+        rng = random.Random(17)
+        primes = [p for p in range(907, 998) if all(p % q for q in range(2, 32))]
+        for _ in range(60):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            a, b = (
+                RatMatrix(
+                    [[Fraction(rng.randint(-999, 999), rng.choice(primes)) for _ in range(c)] for _ in range(r)]
+                )
+                for _ in range(2)
+            )
+            want = sum((x - y) ** 2 for r1, r2 in zip(a.rows, b.rows) for x, y in zip(r1, r2))
+            got = frobenius_distance_sq(a, b)
+            assert type(got) is Fraction and got == want
+
     @settings(max_examples=40)
     @given(square_matrices(4), st.randoms(use_true_random=False))
     def test_symmetry_and_definiteness(self, a, rnd):

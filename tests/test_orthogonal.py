@@ -15,6 +15,7 @@ from dstoch import (
     SpectrumList,
     canonical_basis,
     charpoly_float,
+    companion,
     cospectral_ds,
     embed,
     extract,
@@ -25,6 +26,7 @@ from dstoch import (
     uniform_matrix,
     user_basis,
 )
+from dstoch import orthogonal
 from dstoch.orthogonal import ASSEMBLY_TOL, MEMBERSHIP_TOL, SPECTRAL_TOL
 from oracles import A_ZEROCOL, rand_unit_disk_spectrum
 
@@ -159,6 +161,30 @@ class TestRealizeCospectral:
     def test_rejects_wrong_perron(self):
         with pytest.raises(PreconditionError):
             realize_cospectral(SpectrumList([Fraction(1, 2), 0], perron_index=0))
+        # within 1e-12 of 1 is still not 1: realizing 1 would drop the entry
+        with pytest.raises(PreconditionError):
+            realize_cospectral(SpectrumList([Fraction("1.0000000000001"), 0]))
+
+    def test_block_is_float_companion(self, monkeypatch):
+        rng = random.Random(41)
+        spectra = [rand_unit_disk_spectrum(rng, n) for n in (2, 3, 5, 8, 12, 20)]
+        # zero roots give zero coefficients, which must stay +0.0
+        spectra += [[1, 0], [1, 0, Fraction(-1, 2)], [1, (0, Fraction(1, 2)), (0, Fraction(-1, 2))]]
+        spectra += [entries + [0, 0] for entries in spectra[:4]]
+        blocks = []
+
+        def recording_embed(basis, x):
+            blocks.append(x.to_numpy().tobytes())
+            return embed(basis, x)
+
+        monkeypatch.setattr(orthogonal, "embed", recording_embed)
+        for entries in spectra:
+            s = SpectrumList(entries)
+            block = FloatMatrix(companion(poly_from_spectrum(s.rest())).rows)
+            for basis in (canonical_basis(s.size), random_basis(s.size, seed=s.size)):
+                got = realize_cospectral(s, basis).to_numpy().tobytes()
+                assert blocks.pop() == block.to_numpy().tobytes()
+                assert got == embed(basis, block).to_numpy().tobytes()
 
     def test_conjugacy_error_at_construction(self):
         with pytest.raises(ConjugacyError):

@@ -31,6 +31,7 @@ from oracles import (
     charpoly_cofactor,
     invert,
     nullspace_rref,
+    poly_from_roots_product,
     rand_doubly_stochastic,
     rand_invertible,
     rand_matrix,
@@ -208,6 +209,40 @@ class TestPolyFromSpectrum:
         for entries in NOT_CONJUGATE_CLOSED:
             with pytest.raises(ConjugacyError):
                 poly_from_spectrum(entries)
+
+    def test_equals_fraction_product(self):
+        # complex, repeated-pair, zero and negative entries; denominators
+        # 1-12, primes 907-997 and 2^-52 (a float's Fraction, as `realize`
+        # builds for 1 + k); also the empty list
+        primes = [p for p in range(907, 998) if all(p % q for q in range(2, 32))]
+        parts = [
+            lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+            lambda rng: Fraction(rng.randint(-2000, 2000), rng.choice(primes)),
+            lambda rng: rng.choice((1, -1)) * Fraction(1 + rng.random()),
+        ]
+        rng = random.Random(29)
+        spectra = [[]]
+        for i in range(240):
+            part = parts[i % 3]
+            entries, size = [], rng.randint(1, 14)
+            while len(entries) < size:
+                kind = rng.random()
+                if kind < 0.35:
+                    re_k, im_k = part(rng), abs(part(rng)) or Fraction(1)
+                    entries += [(re_k, im_k), (re_k, -im_k)] * rng.choice((1, 1, 2))
+                elif kind < 0.5:
+                    entries.append((0, 0))
+                else:
+                    entries.append((part(rng), 0))
+            rng.shuffle(entries)
+            spectra.append(entries)
+        dens = {c.denominator for s in spectra for e in s for c in map(Fraction, e)}
+        assert 2**52 in dens and dens & set(primes) and dens & set(range(2, 13))
+        assert any(e == (0, 0) for s in spectra for e in s)
+        for entries in spectra:
+            got, want = poly_from_spectrum(entries), poly_from_roots_product(entries)
+            assert got == want
+            assert repr(got) == repr(want)
 
     def test_reproduces_charpoly_with_rational_roots(self):
         rng = random.Random(13)
