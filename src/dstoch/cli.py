@@ -3,7 +3,7 @@
 Exit codes: 0 success (or a check subcommand's predicate holds), 1 a check
 subcommand's predicate is false, 2 argument/format errors, 3 numeric or
 precondition failures.  All output is deterministic given the inputs and
---seed.
+--seed.  Warnings print to stderr as one ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,7 +209,13 @@ def _cmd_realize_cospectral(ns) -> int:
 
 
 def _cmd_realize(ns) -> int:
-    from .orthogonal import _lift, charpoly_float, format_float_matrix, realize_cospectral
+    from .orthogonal import (
+        _lift,
+        _matched_eig_err,
+        charpoly_float,
+        format_float_matrix,
+        realize_cospectral,
+    )
 
     s = parse_spectrum(_read(ns.spectrum))
     b0 = realize_cospectral(s, _basis_for(ns, s.size))
@@ -224,6 +231,7 @@ def _cmd_realize(ns) -> int:
         "abs_min_entry": abs(min(b0.min_entry(), 0.0)),
         "row_sum": sum(b.row_sums()) / b.n_rows,
         "charpoly_residual": max(abs(p - q) for p, q in zip(got, want)),
+        "eig_err": _matched_eig_err(b, target),
     }
     _emit(ns, format_float_matrix(b) + "\n# " + json.dumps(report))
     return 0
@@ -239,6 +247,16 @@ def _cmd_normalize(ns) -> int:
     scaled, r = normalize_to_stochastic(parse_float_matrix(_read(ns.matrix)))
     _emit(ns, format_float_matrix(scaled) + f"\n# r = {r:.17g}")
     return 0
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="path to a spectrum file" if positional == "spectrum" else None,
         )
         p.add_argument("--basis", choices=["canonical", "random"], default="canonical")
-        p.add_argument("--seed", type=int, default=0, help="seed for --basis random")
+        p.add_argument(
+            "--seed", type=_seed, default=0, help="nonnegative seed for --basis random"
+        )
         p.set_defaults(handler=handler)
 
     p = sub.add_parser(
@@ -367,6 +387,11 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning, without the source location Python adds
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -382,7 +407,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {ns.command} runs in exact mode", file=sys.stderr)
         return 2
     try:
-        return ns.handler(ns)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return ns.handler(ns)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

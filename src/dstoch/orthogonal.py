@@ -31,7 +31,7 @@ from .errors import (
     NormalizationError,
     PreconditionError,
 )
-from .spectra import SpectrumList, poly_from_spectrum
+from .spectra import SpectrumList, _poly_from_closed
 
 __all__ = [
     "FloatMatrix",
@@ -249,23 +249,30 @@ def user_basis(u: FloatMatrix) -> OrthoBasis:
 def random_basis(n: int, seed: int) -> OrthoBasis:
     """Random orthogonal basis with leading all-ones column, reproducible by seed.
 
-    Gram-Schmidt on (all-ones, random vectors) with a second orthogonalization
-    pass; degenerate draws are redrawn.
+    One Householder QR of the n-by-n matrix [1/sqrt(n) * 1, G], with G an
+    n-by-(n-1) standard-normal draw from ``np.random.default_rng(seed)``.
+    Q's columns are multiplied by the signs of diag(R), which makes the
+    factorization unique and the first column +1/sqrt(n) (Mezzadri, "How to
+    generate random matrices from the classical compact groups", Notices AMS
+    54, 2007).  |R_jj| is the norm of column j of the draw after its
+    projection on the earlier columns is removed; a draw with some
+    |R_jj| < 1e-8 (j >= 1) is degenerate and is redrawn from the same
+    generator.  A negative seed raises :class:`PreconditionError`.
     """
     if n < 1:
         raise DimensionError("order must be at least 1")
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    cols = [np.ones(n) / sqrt(n)]
-    while len(cols) < n:
-        v = rng.standard_normal(n)
-        for _ in range(2):
-            for c in cols:
-                v = v - (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        cols.append(v / norm)
-    return OrthoBasis(FloatMatrix(np.column_stack(cols)), BasisSource.USER_SUPPLIED)
+    a = np.empty((n, n))
+    a[:, 0] = 1.0 / sqrt(n)
+    while True:
+        a[:, 1:] = rng.standard_normal((n, n - 1))
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r)
+        if np.all(np.abs(d[1:]) >= 1e-8):
+            break
+    return OrthoBasis(FloatMatrix(q * np.sign(d)), BasisSource.USER_SUPPLIED)
 
 
 def embed(basis: OrthoBasis, x: FloatMatrix) -> FloatMatrix:
@@ -319,6 +326,9 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
 
     The non-dominant entries go through the companion matrix of their
     polynomial, embedded via the canonical basis unless another is supplied.
+    The polynomial comes from ``spectra._poly_from_closed`` without a second
+    closure check: ``SpectrumList`` checked closure on construction, and the
+    dominant entry taken out is exactly (1, 0).
     The float block is built from the polynomial's coefficients: ones on the
     superdiagonal and last row float(-c_j), the same floats as the entries
     of ``spectra.companion`` (float(-c), not -float(c), so that a zero
@@ -334,7 +344,7 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
         return FloatMatrix([[1.0]])
     k = n - 1
     block = np.eye(k, k, 1)
-    block[-1] = [float(-c) for c in poly_from_spectrum(s.rest()).coefficients[:k]]
+    block[-1] = [float(-c) for c in _poly_from_closed(s.rest()).coefficients[:k]]
     return embed(basis, FloatMatrix(block))
 
 
@@ -362,6 +372,24 @@ def _lift(b0: FloatMatrix) -> tuple[float, FloatMatrix]:
         return 0.0, b0
     k = n * -low
     return k, FloatMatrix(b0.to_numpy() + k / n)
+
+
+def _matched_eig_err(a: FloatMatrix, target) -> float:
+    """Largest distance between an entry of ``target`` ((re, im) pairs) and
+    the eigenvalue of ``a`` matched to it.
+
+    Greedy, since scipy's assignment solver is not a dependency: targets in
+    ascending (re, im) order each take the nearest eigenvalue not yet
+    taken, the lower index winning ties.
+    """
+    free = np.linalg.eigvals(a.to_numpy())
+    worst = 0.0
+    for re_k, im_k in sorted(target):
+        dists = np.abs(free - complex(re_k, im_k))
+        j = int(np.argmin(dists))
+        worst = max(worst, float(dists[j]))
+        free = np.delete(free, j)
+    return worst
 
 
 #: power-iteration controls for normalize_to_stochastic

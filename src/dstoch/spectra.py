@@ -302,7 +302,26 @@ def poly_from_spectrum(spectrum) -> Poly:
     The entries must be exactly closed under conjugation.  Each entry with
     positive imaginary part and its conjugate enter as one real quadratic,
     so the result is real by construction and exact.
-    Accepts a SpectrumList or any iterable of (re, im) pairs / rationals.
+    Accepts a SpectrumList or any iterable of (re, im) pairs / rationals;
+    coerces and checks them, then builds the product in
+    :func:`_poly_from_closed`.
+    """
+    if isinstance(spectrum, SpectrumList):
+        entries = spectrum.entries
+    else:
+        entries = tuple(_coerce_entry(e) for e in spectrum)
+    _require_conjugate_closed(entries)
+    return _poly_from_closed(entries)
+
+
+def _poly_from_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> Poly:
+    """The int kernel of :func:`poly_from_spectrum`, which trusts its input.
+
+    ``entries`` must be (Fraction, Fraction) pairs exactly closed under
+    conjugation, such as ``SpectrumList.rest()``.  Nothing is checked: an
+    entry with negative imaginary part is skipped as the partner of one with
+    positive imaginary part, so an unpaired entry gives a wrong polynomial,
+    not an error.
 
     With D the LCM of every real and imaginary denominator, the roots D*re
     + D*im i have integer parts a and b, so each factor x - a or
@@ -310,11 +329,6 @@ def poly_from_spectrum(spectrum) -> Poly:
     Python ints.  q has the roots scaled by D, which gives the coefficient
     of x^i as q_i / D^(deg-i), as in :func:`charpoly`.
     """
-    if isinstance(spectrum, SpectrumList):
-        entries = spectrum.entries
-    else:
-        entries = tuple(_coerce_entry(e) for e in spectrum)
-    _require_conjugate_closed(entries)
     d = _lcm_denominator(part for entry in entries for part in entry)
     q = [1]
     for re_k, im_k in entries:

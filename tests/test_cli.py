@@ -129,13 +129,21 @@ class TestFloatCommands:
         assert run(["realize", files["spectrum"]]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         report = json.loads(out[-1].lstrip("# "))
-        assert set(report) == {"k", "abs_min_entry", "row_sum", "charpoly_residual"}
+        assert set(report) == {"k", "abs_min_entry", "row_sum", "charpoly_residual", "eig_err"}
         assert abs(report["k"] - 0.70753175473054816) < 1e-12
         assert abs(report["row_sum"] - (1 + report["k"])) < 1e-9
         assert report["charpoly_residual"] < 1e-9
+        assert report["eig_err"] < 1e-9
         # matrix plus trailing comment still parses as the matrix
         m = parse_float_matrix("\n".join(out))
         assert m.n_rows == 3
+
+    def test_perron_warning_is_one_line(self, tmp_path, capsys):
+        s = tmp_path / "w.spectrum"
+        s.write_text("1\n1/2\n2\n")
+        assert run(["realize", str(s)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: entry (2, 0) exceeds the designated dominant entry 1 in modulus\n"
 
     def test_realize_builds_its_realization_once(self, files, capsys, monkeypatch):
         # one realization is one realize_cospectral and one embed; embed is
@@ -229,6 +237,19 @@ class TestErrorPaths:
         bad.write_text("1.0000000000001\n0\n")
         assert run(["realize-cospectral", str(bad)]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):
+        x = tmp_path / "x.mat"
+        x.write_text("1/5 3/10\n1/10 9/10\n")
+        for seed in ("-1", "x"):
+            assert run(["embed", str(x), "--basis", "random", "--seed", seed]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if "error" in line]
+            assert errors == [
+                f"dstoch embed: error: argument --seed: expected a nonnegative integer, got '{seed}'"
+            ]
+            assert "Traceback" not in captured.err
 
 
 _NUMPY_FREE_SCRIPT = """

@@ -26,7 +26,7 @@ from dstoch import (
     uniform_matrix,
     user_basis,
 )
-from dstoch import orthogonal
+from dstoch import orthogonal, spectra
 from dstoch.orthogonal import ASSEMBLY_TOL, MEMBERSHIP_TOL, SPECTRAL_TOL
 from oracles import A_ZEROCOL, rand_unit_disk_spectrum
 
@@ -78,6 +78,32 @@ class TestUserBasis:
             w = random_basis(n, seed=4)
             assert v.u == w.u
         assert random_basis(5, seed=1).u != random_basis(5, seed=2).u
+
+
+class TestRandomBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 80])
+    def test_valid_signed_reproducible_and_seed_dependent(self, n):
+        seeds = (0, 1, 2, 99, 2**40)
+        bases = [random_basis(n, seed) for seed in seeds]
+        for seed, b in zip(seeds, bases):
+            u = b.u.to_numpy()
+            # the OrthoBasis checks pass again on the bare matrix
+            assert user_basis(b.u).u == b.u
+            # +1/sqrt(n), not -1/sqrt(n): the diag(R) sign fix is applied
+            assert np.abs(u[:, 0] - 1 / math.sqrt(n)).max() <= ASSEMBLY_TOL
+            assert random_basis(n, seed).u.to_numpy().tobytes() == u.tobytes()
+        distinct = len({b.u.to_numpy().tobytes() for b in bases})
+        # at n = 2 the second column is +-(1, -1)/sqrt(2), and these seeds
+        # draw both signs; without the per-column sign fix they draw one
+        assert distinct == {1: 1, 2: 2}.get(n, len(bases))
+
+    def test_negative_seed_is_a_precondition_error(self):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            random_basis(3, -1)
+
+    def test_invalid_order(self):
+        with pytest.raises(DimensionError):
+            random_basis(0, 1)
 
 
 class TestEmbed:
@@ -185,6 +211,33 @@ class TestRealizeCospectral:
                 got = realize_cospectral(s, basis).to_numpy().tobytes()
                 assert blocks.pop() == block.to_numpy().tobytes()
                 assert got == embed(basis, block).to_numpy().tobytes()
+
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_unit_sums_with_random_basis_at_large_order(self, n):
+        rng = random.Random(n)
+        for seed in range(3):
+            s = SpectrumList(rand_unit_disk_spectrum(rng, n))
+            b = realize_cospectral(s, random_basis(n, seed))
+            assert all(abs(v - 1) <= MEMBERSHIP_TOL for v in b.row_sums() + b.col_sums())
+
+    def test_realize_skips_the_closure_recheck(self, monkeypatch):
+        # SpectrumList checked closure on construction; realizing it again
+        # must not, while the public poly_from_spectrum still does
+        s = SpectrumList([1, Fraction(1, 2), (0, Fraction(1, 3)), (0, Fraction(-1, 3))])
+        calls = []
+        real = spectra._require_conjugate_closed
+
+        def counted(entries):
+            calls.append(entries)
+            return real(entries)
+
+        monkeypatch.setattr(spectra, "_require_conjugate_closed", counted)
+        realize_cospectral(s)
+        realize_cospectral(s, random_basis(s.size, seed=3))
+        realize_nonneg(s)
+        assert len(calls) == 0
+        poly_from_spectrum(s.rest())
+        assert len(calls) == 1
 
     def test_conjugacy_error_at_construction(self):
         with pytest.raises(ConjugacyError):
