@@ -4,6 +4,10 @@ Exit codes: 0 success (or a check subcommand's predicate holds), 1 a check
 subcommand's predicate is false, 2 argument/format errors, 3 numeric or
 precondition failures.  All output is deterministic given the inputs and
 --seed.  Warnings print to stderr as one ``warning: <message>`` line each.
+
+Each handler returns its exit code, its text and its ``--json`` payload, a
+callable that builds the JSON (None where the subcommand prints text either
+way); only :func:`run` picks the rendering and writes it, to stdout or ``-o``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,9 +41,14 @@ _FLOAT_ONLY = {"embed", "extract", "realize", "realize-cospectral", "normalize"}
 #: value-taking flags whose argument may begin with a minus sign
 _NEGATIVE_VALUE_FLAGS = ("--eps", "--eigenvalues")
 
+_Result = tuple[int, str, "Callable[[], str] | None"]
+
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not UTF-8 text") from None
 
 
 def _load_matrix(path: str):
@@ -52,60 +62,42 @@ def _emit(ns, text: str) -> None:
         print(text)
 
 
-def _cmd_classify(ns) -> int:
+def _cmd_classify(ns) -> _Result:
     cls = classify(_load_matrix(ns.matrix))
-    if ns.json:
-        _emit(
-            ns,
-            json.dumps({"tag": cls.tag.value, "r": None if cls.r is None else str(cls.r)}),
-        )
-    else:
-        _emit(ns, str(cls))
-    return 0
+    r = None if cls.r is None else str(cls.r)
+    return 0, str(cls), lambda: json.dumps({"tag": cls.tag.value, "r": r})
 
 
-def _cmd_colstats(ns) -> int:
+def _cmd_colstats(ns) -> _Result:
     x, a = column_stats(_load_matrix(ns.matrix))
-    if ns.json:
-        _emit(ns, json.dumps({"x": [str(v) for v in x], "a": [str(v) for v in a]}))
-    else:
-        _emit(ns, f"x: {' '.join(str(v) for v in x)}\na: {' '.join(str(v) for v in a)}")
-    return 0
+    text = f"x: {' '.join(str(v) for v in x)}\na: {' '.join(str(v) for v in a)}"
+    return 0, text, lambda: json.dumps({"x": [str(v) for v in x], "a": [str(v) for v in a]})
 
 
-def _cmd_charpoly(ns) -> int:
+def _cmd_charpoly(ns) -> _Result:
     p = charpoly(_load_matrix(ns.matrix))
-    if ns.json:
-        _emit(ns, json.dumps({"coefficients": [str(c) for c in p.coefficients]}))
-    else:
-        _emit(ns, format_poly(p))
-    return 0
+    return 0, format_poly(p), lambda: json.dumps(
+        {"coefficients": [str(c) for c in p.coefficients]}
+    )
 
 
-def _cmd_cospectral(ns) -> int:
+def _cmd_cospectral(ns) -> _Result:
     verdict = cospectral(_load_matrix(ns.matrix), _load_matrix(ns.other))
-    if ns.json:
-        _emit(ns, json.dumps({"cospectral": verdict}))
-    else:
-        _emit(ns, "cospectral" if verdict else "not cospectral")
-    return 0 if verdict else 1
+    text = "cospectral" if verdict else "not cospectral"
+    return 0 if verdict else 1, text, lambda: json.dumps({"cospectral": verdict})
 
 
-def _cmd_check41(ns) -> int:
+def _cmd_check41(ns) -> _Result:
     verdict = similar_to_unit_sums(_load_matrix(ns.matrix))
-    if ns.json:
-        _emit(ns, json.dumps({"similar_to_unit_sums": verdict}))
-    else:
-        _emit(ns, "true" if verdict else "false")
-    return 0 if verdict else 1
+    text = "true" if verdict else "false"
+    return 0 if verdict else 1, text, lambda: json.dumps({"similar_to_unit_sums": verdict})
 
 
-def _cmd_shift(ns) -> int:
-    _emit(ns, format_matrix(shift(_load_matrix(ns.matrix), parse_scalar(ns.eps))))
-    return 0
+def _cmd_shift(ns) -> _Result:
+    return 0, format_matrix(shift(_load_matrix(ns.matrix), parse_scalar(ns.eps))), None
 
 
-def _cmd_rado(ns) -> int:
+def _cmd_rado(ns) -> _Result:
     a = _load_matrix(ns.matrix)
     update = RadoUpdate(
         a,
@@ -113,65 +105,45 @@ def _cmd_rado(ns) -> int:
         _load_matrix(ns.c),
         [parse_scalar(tok) for tok in ns.eigenvalues.split(",")],
     )
-    _emit(ns, format_matrix(rado_update(a, update)))
-    return 0
+    return 0, format_matrix(rado_update(a, update)), None
 
 
-def _cmd_threshold(ns) -> int:
+def _cmd_threshold(ns) -> _Result:
     report = balance_minimal(_load_matrix(ns.matrix))
-    if ns.json:
-        _emit(
-            ns,
-            json.dumps(
-                {
-                    "epsilon_threshold": str(report.epsilon_threshold),
-                    "y_threshold": str(report.y_threshold),
-                }
-            ),
-        )
-    else:
-        _emit(
-            ns,
-            f"epsilon_threshold = {report.epsilon_threshold}\n"
-            f"y_threshold = {report.y_threshold}",
-        )
-    return 0
+    fields = {"epsilon_threshold": report.epsilon_threshold, "y_threshold": report.y_threshold}
+    text = "\n".join(f"{k} = {v}" for k, v in fields.items())
+    return 0, text, lambda: json.dumps({k: str(v) for k, v in fields.items()})
 
 
-def _cmd_balance(ns) -> int:
-    _emit(ns, format_matrix(balance(_load_matrix(ns.matrix), parse_scalar(ns.eps))))
-    return 0
+def _cmd_balance(ns) -> _Result:
+    return 0, format_matrix(balance(_load_matrix(ns.matrix), parse_scalar(ns.eps))), None
 
 
-def _cmd_balance_min(ns) -> int:
+def _cmd_balance_min(ns) -> _Result:
     report = balance_minimal(_load_matrix(ns.matrix))
-    _emit(ns, report.to_json() if ns.json else report.to_text())
-    return 0
+    return 0, report.to_text(), report.to_json
 
 
-def _cmd_t33(ns) -> int:
-    _emit(ns, format_matrix(balance_nr(_load_matrix(ns.matrix))))
-    return 0
+def _cmd_t33(ns) -> _Result:
+    return 0, format_matrix(balance_nr(_load_matrix(ns.matrix))), None
 
 
-def _cmd_check4(ns) -> int:
+def _cmd_check4(ns) -> _Result:
     report = ds_condition(_load_matrix(ns.matrix))
-    _emit(ns, report.to_json() if ns.json else report.to_text())
-    return 0 if report.holds else 1
+    return 0 if report.holds else 1, report.to_text(), report.to_json
 
 
-def _cmd_cospectral_ds(ns) -> int:
-    _emit(ns, format_matrix(cospectral_ds(_load_matrix(ns.matrix))))
-    return 0
+def _cmd_cospectral_ds(ns) -> _Result:
+    return 0, format_matrix(cospectral_ds(_load_matrix(ns.matrix))), None
 
 
-def _cmd_nearest(ns) -> int:
+def _cmd_nearest(ns) -> _Result:
     a = _load_matrix(ns.matrix)
     if ns.distance:
-        _emit(ns, str(nearest_ds_distance_sq(a)))
+        text = str(nearest_ds_distance_sq(a))
     else:
-        _emit(ns, format_matrix(nearest_ds(a)))
-    return 0
+        text = format_matrix(nearest_ds(a))
+    return 0, text, None
 
 
 def _basis_for(ns, n: int):
@@ -182,33 +154,30 @@ def _basis_for(ns, n: int):
     return canonical_basis(n)
 
 
-def _cmd_embed(ns) -> int:
+def _cmd_embed(ns) -> _Result:
     from .orthogonal import embed, format_float_matrix, parse_float_matrix
 
     x = parse_float_matrix(_read(ns.matrix))
     x.require_square()
-    _emit(ns, format_float_matrix(embed(_basis_for(ns, x.n_rows + 1), x)))
-    return 0
+    return 0, format_float_matrix(embed(_basis_for(ns, x.n_rows + 1), x)), None
 
 
-def _cmd_extract(ns) -> int:
+def _cmd_extract(ns) -> _Result:
     from .orthogonal import extract, format_float_matrix, parse_float_matrix
 
     a = parse_float_matrix(_read(ns.matrix))
     a.require_square()
-    _emit(ns, format_float_matrix(extract(_basis_for(ns, a.n_rows), a)))
-    return 0
+    return 0, format_float_matrix(extract(_basis_for(ns, a.n_rows), a)), None
 
 
-def _cmd_realize_cospectral(ns) -> int:
+def _cmd_realize_cospectral(ns) -> _Result:
     from .orthogonal import format_float_matrix, realize_cospectral
 
     s = parse_spectrum(_read(ns.spectrum))
-    _emit(ns, format_float_matrix(realize_cospectral(s, _basis_for(ns, s.size))))
-    return 0
+    return 0, format_float_matrix(realize_cospectral(s, _basis_for(ns, s.size))), None
 
 
-def _cmd_realize(ns) -> int:
+def _cmd_realize(ns) -> _Result:
     from .orthogonal import (
         _lift,
         _matched_eig_err,
@@ -233,11 +202,10 @@ def _cmd_realize(ns) -> int:
         "charpoly_residual": max(abs(p - q) for p, q in zip(got, want)),
         "eig_err": _matched_eig_err(b, target),
     }
-    _emit(ns, format_float_matrix(b) + "\n# " + json.dumps(report))
-    return 0
+    return 0, format_float_matrix(b) + "\n# " + json.dumps(report), None
 
 
-def _cmd_normalize(ns) -> int:
+def _cmd_normalize(ns) -> _Result:
     from .orthogonal import (
         format_float_matrix,
         normalize_to_stochastic,
@@ -245,8 +213,7 @@ def _cmd_normalize(ns) -> int:
     )
 
     scaled, r = normalize_to_stochastic(parse_float_matrix(_read(ns.matrix)))
-    _emit(ns, format_float_matrix(scaled) + f"\n# r = {r:.17g}")
-    return 0
+    return 0, format_float_matrix(scaled) + f"\n# r = {r:.17g}", None
 
 
 def _seed(text: str) -> int:
@@ -400,23 +367,23 @@ def run(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(_merge_negative_values(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if ns.mode == "exact" and ns.command in _FLOAT_ONLY:
-        print(f"error: {ns.command} runs in float mode", file=sys.stderr)
-        return 2
-    if ns.mode == "float" and ns.command not in _FLOAT_ONLY:
-        print(f"error: {ns.command} runs in exact mode", file=sys.stderr)
+    runs_in = "float" if ns.command in _FLOAT_ONLY else "exact"
+    if ns.mode not in (None, runs_in):
+        print(f"error: {ns.command} runs in {runs_in} mode", file=sys.stderr)
         return 2
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return ns.handler(ns)
+            code, text, payload = ns.handler(ns)
+            _emit(ns, payload() if ns.json and payload is not None else text)
+            return code
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
         return 3
-    except DstochError as exc:
+    except (DstochError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

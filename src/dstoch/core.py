@@ -218,9 +218,8 @@ def uniform_matrix(n: int) -> RatMatrix:
 def column_stats(a: RatMatrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Per-column sums and minima of a square matrix, as two n-vectors."""
     a.require_square()
-    sums = a.col_sums()
-    mins = tuple(min(a.col(j)) for j in range(a.n_cols))
-    return sums, mins
+    cols = list(zip(*a.rows))
+    return tuple(sum(c) for c in cols), tuple(min(c) for c in cols)
 
 
 def _common_row_sum(a: RatMatrix) -> Fraction | None:

@@ -14,14 +14,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import balance
-from .core import (
-    RatMatrix,
-    Stochasticity,
-    classify,
-    column_stats,
-    frobenius_distance_sq,
-)
+from .balance import _columns, balance
+from .core import RatMatrix, frobenius_distance_sq
 from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
@@ -84,15 +78,15 @@ class DsConditionReport:
 
 
 def ds_condition(a: RatMatrix) -> DsConditionReport:
-    """Evaluate the slack x_j <= 1 + n*a_j for every column of a stochastic matrix."""
-    tag = classify(a).tag
-    if tag not in (Stochasticity.STOCHASTIC, Stochasticity.DOUBLY_STOCHASTIC):
+    """Evaluate the slack x_j <= 1 + n*a_j for every column of a stochastic matrix.
+
+    This is balancing at eps = 0: slack_j = 1 - (x_j - n*a_j), so the
+    condition holds iff ``epsilon_threshold(a) <= 0``.
+    """
+    n, r, x, mins, bounds = _columns(a)
+    if r != 1:
         raise PreconditionError("matrix must be stochastic")
-    n = a.n_rows
-    x, mins = column_stats(a)
-    records = tuple(
-        ColumnSlack(j + 1, x[j], mins[j], 1 + n * mins[j] - x[j]) for j in range(n)
-    )
+    records = tuple(ColumnSlack(j + 1, x[j], mins[j], 1 - bounds[j]) for j in range(n))
     violations = [c.j for c in records if c.slack < 0]
     return DsConditionReport(
         holds=not violations,

@@ -151,7 +151,7 @@ def parse_float_matrix(text: str) -> FloatMatrix:
             except ValueError:
                 try:
                     row.append(float(Fraction(tok)))
-                except (ValueError, ZeroDivisionError):
+                except (ValueError, ZeroDivisionError, OverflowError):
                     raise FormatError(f"bad float entry {tok!r}") from None
         rows.append(row)
     if not rows:

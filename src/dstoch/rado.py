@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RatMatrix, _common_row_sum, uniform_matrix
+from .core import RatMatrix, _common_row_sum
 from .errors import DimensionError, PreconditionError
 
 __all__ = ["RadoUpdate", "rado_update", "shift", "shift_nonneg_threshold"]
@@ -75,7 +75,8 @@ def shift(a: RatMatrix, eps) -> RatMatrix:
     n = a.require_square()
     if _common_row_sum(a) is None:
         raise PreconditionError("shift requires constant row sums")
-    return a + Fraction(eps) * uniform_matrix(n)
+    e = Fraction(eps) / n
+    return RatMatrix([[v + e for v in row] for row in a.rows])
 
 
 def shift_nonneg_threshold(a: RatMatrix) -> Fraction:

@@ -24,6 +24,11 @@ def files(tmp_path):
     spectrum = tmp_path / "s.spectrum"
     spectrum.write_text("1\n0\n1/4\n")
     paths["spectrum"] = str(spectrum)
+    # a rank-one update of diag(2, 1) along its eigenvector e_1, for rado
+    for name, text in [("diag", "2 0\n0 1\n"), ("x", "1\n0\n"), ("c", "1/3 -1/5\n")]:
+        p = tmp_path / f"{name}.mat"
+        p.write_text(text)
+        paths[name] = str(p)
     paths["dir"] = tmp_path
     return paths
 
@@ -101,14 +106,8 @@ class TestConstructions:
         assert run(["nearest", files["z"], "--distance"]) == 0
         assert capsys.readouterr().out.strip() == "1/2"
 
-    def test_rado(self, files, capsys, tmp_path):
-        a = tmp_path / "diag.mat"
-        a.write_text("2 0\n0 1\n")
-        x = tmp_path / "x.mat"
-        x.write_text("1\n0\n")
-        c = tmp_path / "c.mat"
-        c.write_text("1/3 -1/5\n")
-        assert run(["rado", str(a), str(x), str(c), "--eigenvalues", "2"]) == 0
+    def test_rado(self, files, capsys):
+        assert run(["rado", files["diag"], files["x"], files["c"], "--eigenvalues", "2"]) == 0
         assert parse_matrix(capsys.readouterr().out) == parse_matrix("7/3 -1/5\n0 1")
 
 
@@ -203,6 +202,27 @@ class TestRoundTripsAndModes:
         assert run(["classify", files["a"], "--mode", "float"]) == 2
         assert run(["classify", files["a"], "--mode", "exact"]) == 0
 
+    def test_json_is_built_only_under_json_flag(self, files, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("JSON built without --json")
+
+        monkeypatch.setattr(dstoch.cli.json, "dumps", refuse)
+        monkeypatch.setattr(dstoch.BalanceReport, "to_json", refuse)
+        monkeypatch.setattr(dstoch.DsConditionReport, "to_json", refuse)
+        a, z, b = files["a"], files["z"], files["b"]
+        for argv in (
+            ["classify", a],
+            ["colstats", a],
+            ["charpoly", a],
+            ["cospectral", z, b],
+            ["check41", z],
+            ["threshold", a],
+            ["balance-min", a],
+            ["check4", z],
+        ):
+            assert run(argv) in (0, 1)
+        assert "{" not in capsys.readouterr().out
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -238,6 +258,36 @@ class TestErrorPaths:
         assert run(["realize-cospectral", str(bad)]) == 3
         assert capsys.readouterr().out == ""
 
+    def test_undecodable_file_is_a_format_error(self, tmp_path, capsys):
+        # the UTF-16 text "1\n", read as a matrix file and as a spectrum file
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1\x00\n\x00")
+        for cmd in ("classify", "realize"):
+            assert run([cmd, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path} is not UTF-8 text\n"
+
+    def test_float_entry_too_large_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.mat"
+        path.write_text("1" + "0" * 400 + "/1 0\n0 1\n")
+        for cmd in ("embed", "normalize"):
+            assert run([cmd, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad float entry '1000")
+            assert captured.err.count("\n") == 1
+
+    def test_float_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        path = tmp_path / "huge.spectrum"
+        path.write_text("1\n1" + "0" * 400 + "\n")
+        for cmd in ("realize", "realize-cospectral"):
+            assert run([cmd, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert errors == ["error: integer division result too large for a float"]
+
     def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):
         x = tmp_path / "x.mat"
         x.write_text("1/5 3/10\n1/10 9/10\n")
@@ -250,6 +300,77 @@ class TestErrorPaths:
                 f"dstoch embed: error: argument --seed: expected a nonnegative integer, got '{seed}'"
             ]
             assert "Traceback" not in captured.err
+
+
+# (argv, exit code, stdout, stdout with --json) for every subcommand on the
+# fixture files; a --json stdout of None means --json is ignored there, and
+# a stdout of None marks float output, which is only checked to be the same
+# with and without --json
+_PINNED = [
+    (["classify", "a"], 0, "STOCHASTIC r=1", '{"tag": "STOCHASTIC", "r": "1"}'),
+    (
+        ["colstats", "a"],
+        0,
+        "x: 3/4 3/4 3/2\na: 1/6 1/6 1/3",
+        '{"x": ["3/4", "3/4", "3/2"], "a": ["1/6", "1/6", "1/3"]}',
+    ),
+    (["charpoly", "a"], 0, "0 1/4 -5/4 1", '{"coefficients": ["0", "1/4", "-5/4", "1"]}'),
+    (["cospectral", "a", "b"], 1, "not cospectral", '{"cospectral": false}'),
+    (["check41", "z"], 0, "true", '{"similar_to_unit_sums": true}'),
+    (["shift", "--eps", "1/2", "a"], 0, "1/2 1/2 1/2\n5/12 5/12 2/3\n1/3 1/3 5/6", None),
+    (["rado", "diag", "x", "c", "--eigenvalues", "2"], 0, "7/3 -1/5\n0 1", None),
+    (
+        ["threshold", "a"],
+        0,
+        "epsilon_threshold = -1/2\ny_threshold = -1/3",
+        '{"epsilon_threshold": "-1/2", "y_threshold": "-1/3"}',
+    ),
+    (["balance", "--eps", "-1/2", "a"], 0, "1/4 1/4 0\n1/6 1/6 1/6\n1/12 1/12 1/3", None),
+    (
+        ["balance-min", "a"],
+        0,
+        "r = 1\nx = 3/4 3/4 3/2\na = 1/6 1/6 1/3\nm = 3\ny_threshold = -1/3\n"
+        "epsilon_threshold = -1/2\ntight_columns = 3\nB_min =\n"
+        "1/4 1/4 0\n1/6 1/6 1/6\n1/12 1/12 1/3",
+        '{"r": "1", "x": ["3/4", "3/4", "3/2"], "a": ["1/6", "1/6", "1/3"], "m": 3, '
+        '"y_threshold": "-1/3", "epsilon_threshold": "-1/2", "B_min": [["1/4", "1/4", "0"], '
+        '["1/6", "1/6", "1/6"], ["1/12", "1/12", "1/3"]], "tight_columns": [3]}',
+    ),
+    (["t33", "a"], 0, "13/12 13/12 5/6\n1 1 1\n11/12 11/12 7/6", None),
+    (
+        ["check4", "a"],
+        0,
+        "j=1 x=3/4 a=1/6 slack=3/4\nj=2 x=3/4 a=1/6 slack=3/4\n"
+        "j=3 x=3/2 a=1/3 slack=1/2\nholds=true",
+        '{"holds": true, "per_column": [{"j": 1, "x_j": "3/4", "a_j": "1/6", "slack": "3/4"}, '
+        '{"j": 2, "x_j": "3/4", "a_j": "1/6", "slack": "3/4"}, '
+        '{"j": 3, "x_j": "3/2", "a_j": "1/3", "slack": "1/2"}], "first_violation": null}',
+    ),
+    (["cospectral-ds", "z"], 0, "1/2 1/6 1/3\n1/6 1/2 1/3\n1/3 1/3 1/3", None),
+    (["nearest", "a"], 0, "5/12 5/12 1/6\n1/3 1/3 1/3\n1/4 1/4 1/2", None),
+    (["nearest", "z", "--distance"], 0, "1/2", None),
+    (["embed", "b"], 0, None, None),
+    (["extract", "b"], 0, None, None),
+    (["realize", "spectrum"], 0, None, None),
+    (["realize-cospectral", "spectrum"], 0, None, None),
+    (["normalize", "a"], 0, None, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text, as_json", _PINNED, ids=[" ".join(case[0]) for case in _PINNED]
+)
+def test_output_with_and_without_json(files, capsys, argv, code, text, as_json):
+    argv = [files.get(tok, tok) for tok in argv]
+    assert run(argv) == code
+    plain = capsys.readouterr().out
+    assert run(argv + ["--json"]) == code
+    with_json = capsys.readouterr().out
+    if text is None:
+        assert with_json == plain
+    else:
+        assert plain == text + "\n"
+        assert with_json == (text if as_json is None else as_json) + "\n"
 
 
 _NUMPY_FREE_SCRIPT = """
@@ -265,13 +386,7 @@ print(json.dumps(codes))
 """
 
 
-def test_exact_subcommands_run_without_numpy(files, tmp_path):
-    diag = tmp_path / "diag.mat"
-    diag.write_text("2 0\n0 1\n")
-    x = tmp_path / "x.mat"
-    x.write_text("1\n0\n")
-    c = tmp_path / "c.mat"
-    c.write_text("1/3 -1/5\n")
+def test_exact_subcommands_run_without_numpy(files):
     a, z, b = files["a"], files["z"], files["b"]
     calls = [
         ["classify", a],
@@ -280,7 +395,7 @@ def test_exact_subcommands_run_without_numpy(files, tmp_path):
         ["cospectral", z, b],
         ["check41", z],
         ["shift", "--eps", "1/2", a],
-        ["rado", str(diag), str(x), str(c), "--eigenvalues", "2"],
+        ["rado", files["diag"], files["x"], files["c"], "--eigenvalues", "2"],
         ["threshold", a],
         ["balance", "--eps", "-1/2", a],
         ["balance-min", a],

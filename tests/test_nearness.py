@@ -214,4 +214,10 @@ class TestCrossModule:
         rng = random.Random(43)
         for _ in range(120):
             a = rand_stochastic(rng, rng.randint(1, 6))
-            assert ds_condition(a).holds == (epsilon_threshold(a) <= 0)
+            report = ds_condition(a)
+            assert report.holds == (epsilon_threshold(a) <= 0)
+            n = a.n_rows
+            for j, c in enumerate(report.per_column):
+                x_j = sum(row[j] for row in a.rows)
+                a_j = min(row[j] for row in a.rows)
+                assert (c.j, c.x, c.a, c.slack) == (j + 1, x_j, a_j, 1 + n * a_j - x_j)

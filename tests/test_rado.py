@@ -118,6 +118,7 @@ class TestShift:
             m = RatMatrix(rows)
             eps = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             out = shift(m, eps)
+            assert out == m + eps * uniform_matrix(n)
             assert charpoly(out) * Poly.x_minus(r) == charpoly(m) * Poly.x_minus(r + eps)
 
     def test_preserves_doubly_stochastic_structure(self):
