@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RatMatrix, _common_row_sum, column_stats, format_matrix
+from .core import RatMatrix, _as_fraction, _common_row_sum, column_stats, format_matrix
 from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
@@ -44,10 +44,10 @@ def _columns(a: RatMatrix):
     n, r, column sums x, column minima, and the column bounds x_j - n*a_j
     whose maximum minus r is the threshold."""
     n = a.require_square()
-    if not a.is_nonnegative():
+    x, mins = column_stats(a)
+    if min(mins) < 0:
         raise PreconditionError("matrix must be entrywise nonnegative")
     r = _require_constant_row_sums(a)
-    x, mins = column_stats(a)
     return n, r, x, mins, [x[j] - n * mins[j] for j in range(n)]
 
 
@@ -62,12 +62,8 @@ def _balanced(a: RatMatrix, n, r, x, bounds, eps: Fraction) -> RatMatrix:
             column=worst,
             threshold=threshold,
         )
-    return RatMatrix(
-        [
-            [a[i, j] + Fraction(r + eps - x[j], n) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    offsets = [Fraction(r + eps - x_j, n) for x_j in x]
+    return RatMatrix([[e + y for e, y in zip(row, offsets)] for row in a.rows])
 
 
 def _heaviest_column(x: tuple[Fraction, ...]) -> int:
@@ -132,7 +128,7 @@ def balance_offsets(a: RatMatrix, y_m) -> tuple[Fraction, ...]:
     _require_constant_row_sums(a)
     x = a.col_sums()
     m = _heaviest_column(x)
-    y_m = Fraction(y_m)
+    y_m = _as_fraction(y_m)
     return tuple(y_m + Fraction(x[m] - x[j], n) for j in range(n))
 
 
@@ -154,7 +150,7 @@ def balance(a: RatMatrix, eps) -> RatMatrix:
     eigenvalue.  Shifts below the threshold are rejected.
     """
     n, r, x, _, bounds = _columns(a)
-    return _balanced(a, n, r, x, bounds, Fraction(eps))
+    return _balanced(a, n, r, x, bounds, _as_fraction(eps))
 
 
 def balance_minimal(a: RatMatrix) -> BalanceReport:

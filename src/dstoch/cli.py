@@ -365,6 +365,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(_merge_negative_values(list(argv)))
+        for flag in _NEGATIVE_VALUE_FLAGS:
+            # argparse (Python 3.11, for one) strips the `--` out of
+            # `--eps=--` and stores an empty list instead of a string
+            if getattr(ns, flag[2:], None) == []:
+                parser.error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     runs_in = "float" if ns.command in _FLOAT_ONLY else "exact"

@@ -37,7 +37,7 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, float):
         # floats are rejected: exact constructions must never absorb rounding
-        raise TypeError("exact matrices take Fraction/int entries, not float")
+        raise TypeError("exact constructions take Fraction/int values, not float")
     return Fraction(value)
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import _columns, balance
+from .balance import _balanced, _columns
 from .core import RatMatrix, frobenius_distance_sq
 from .errors import InfeasibleError, PreconditionError
 
@@ -83,7 +83,10 @@ def ds_condition(a: RatMatrix) -> DsConditionReport:
     This is balancing at eps = 0: slack_j = 1 - (x_j - n*a_j), so the
     condition holds iff ``epsilon_threshold(a) <= 0``.
     """
-    n, r, x, mins, bounds = _columns(a)
+    return _slack_report(*_columns(a))
+
+
+def _slack_report(n, r, x, mins, bounds) -> DsConditionReport:
     if r != 1:
         raise PreconditionError("matrix must be stochastic")
     records = tuple(ColumnSlack(j + 1, x[j], mins[j], 1 - bounds[j]) for j in range(n))
@@ -98,11 +101,12 @@ def ds_condition(a: RatMatrix) -> DsConditionReport:
 def cospectral_ds(a: RatMatrix) -> RatMatrix:
     """Doubly stochastic matrix exactly cospectral to a stochastic one.
 
-    Entries are a_ij + (1 - x_j)/n, i.e. ``balance(a, 0)``.  Refuses when a
-    slack is negative, since the result would have negative entries; the raw
-    affine projection remains available through :func:`nearest_ds`.
+    Entries are a_ij + (1 - x_j)/n, i.e. ``balance(a, 0)``; the slacks come
+    from the same column pass.  Refuses a negative slack, which would give
+    negative entries; the raw projection is :func:`nearest_ds`.
     """
-    report = ds_condition(a)
+    n, r, x, mins, bounds = _columns(a)
+    report = _slack_report(n, r, x, mins, bounds)
     if not report.holds:
         raise InfeasibleError(
             f"column {report.first_violation} has negative slack; "
@@ -110,7 +114,7 @@ def cospectral_ds(a: RatMatrix) -> RatMatrix:
             column=report.first_violation,
             report=report,
         )
-    return balance(a, 0)
+    return _balanced(a, n, r, x, bounds, 0)
 
 
 def nearest_ds(a: RatMatrix) -> RatMatrix:

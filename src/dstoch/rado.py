@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RatMatrix, _common_row_sum
+from .core import RatMatrix, _as_fraction, _common_row_sum
 from .errors import DimensionError, PreconditionError
 
 __all__ = ["RadoUpdate", "rado_update", "shift", "shift_nonneg_threshold"]
@@ -31,7 +31,7 @@ class RadoUpdate:
     def __init__(self, a: RatMatrix, x: RatMatrix, c: RatMatrix, eigenvalues: Sequence):
         self.x = x
         self.c = c
-        self.eigenvalues = tuple(Fraction(v) for v in eigenvalues)
+        self.eigenvalues = tuple(_as_fraction(v) for v in eigenvalues)
         self.validate(a)
 
     def validate(self, a: RatMatrix) -> None:
@@ -75,7 +75,7 @@ def shift(a: RatMatrix, eps) -> RatMatrix:
     n = a.require_square()
     if _common_row_sum(a) is None:
         raise PreconditionError("shift requires constant row sums")
-    e = Fraction(eps) / n
+    e = _as_fraction(eps) / n
     return RatMatrix([[v + e for v in row] for row in a.rows])
 
 

@@ -18,7 +18,7 @@ from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
-from .core import RatMatrix, _data_lines, _lcm_denominator, parse_scalar
+from .core import RatMatrix, _as_fraction, _data_lines, _lcm_denominator, parse_scalar
 from .errors import (
     ConjugacyError,
     DimensionError,
@@ -50,7 +50,7 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients: Iterable):
-        c = [Fraction(x) for x in coefficients]
+        c = [_as_fraction(x) for x in coefficients]
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         if not c:
@@ -124,7 +124,7 @@ class Poly:
 
     @classmethod
     def x_minus(cls, root) -> "Poly":
-        return cls([-Fraction(root), Fraction(1)])
+        return cls([-_as_fraction(root), Fraction(1)])
 
 
 def format_poly(p: Poly) -> str:
@@ -190,10 +190,10 @@ def _parse_complex(token: str) -> tuple[Fraction, Fraction]:
 def _coerce_entry(value) -> tuple[Fraction, Fraction]:
     if isinstance(value, tuple):
         re_part, im_part = value
-        return Fraction(re_part), Fraction(im_part)
+        return _as_fraction(re_part), _as_fraction(im_part)
     if isinstance(value, complex):
         raise TypeError("pass exact (re, im) pairs, not binary complex numbers")
-    return Fraction(value), Fraction(0)
+    return _as_fraction(value), Fraction(0)
 
 
 def _require_conjugate_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> None:

@@ -19,6 +19,8 @@ from dstoch import (
     charpoly,
     charpoly_float,
     classify,
+    cospectral_ds,
+    ds_condition,
     epsilon_threshold,
     normalize_to_stochastic,
     uniform_matrix,
@@ -90,6 +92,18 @@ class TestEpsilonThreshold:
     def test_rejects_negative_entries(self):
         with pytest.raises(PreconditionError):
             epsilon_threshold(RatMatrix([[2, -1], [-1, 2]]))
+        # negativity is reported before unequal row sums, by every entry point
+        a = RatMatrix([[2, -1], [0, 0]])
+        for build in (
+            epsilon_threshold,
+            lambda m: balance(m, 0),
+            balance_minimal,
+            balance_nr,
+            ds_condition,
+            cospectral_ds,
+        ):
+            with pytest.raises(PreconditionError, match="entrywise nonnegative"):
+                build(a)
 
     def test_never_below_minus_r(self):
         rng = random.Random(7)

@@ -301,6 +301,22 @@ class TestErrorPaths:
             ]
             assert "Traceback" not in captured.err
 
+    def test_double_dash_value_is_an_argument_error(self, files, capsys):
+        # argparse strips a lone `--` from an `=` value on some Python
+        # versions and keeps it on others; either way it is a bad argument
+        rado = ["rado", files["diag"], files["x"], files["c"]]
+        for argv in (
+            ["shift", "--eps", "--", files["a"]],
+            ["balance", "--eps=--", files["a"]],
+            rado + ["--eigenvalues", "--"],
+            rado + ["--eigenvalues=--"],
+        ):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+            assert "Traceback" not in captured.err
+
 
 # (argv, exit code, stdout, stdout with --json) for every subcommand on the
 # fixture files; a --json stdout of None means --json is ignored there, and

@@ -9,8 +9,13 @@ from dstoch import (
     DimensionError,
     FloatMatrix,
     FormatError,
+    Poly,
+    RadoUpdate,
     RatMatrix,
+    SpectrumList,
     Stochasticity,
+    balance,
+    balance_offsets,
     classify,
     column_stats,
     format_float_matrix,
@@ -19,6 +24,8 @@ from dstoch import (
     parse_float_matrix,
     parse_matrix,
     parse_scalar,
+    poly_from_spectrum,
+    shift,
     uniform_matrix,
 )
 from oracles import A_UNEVEN, A_ZEROCOL, rand_matrix
@@ -46,6 +53,21 @@ class TestRatMatrix:
     def test_rejects_float_entries(self):
         with pytest.raises(TypeError):
             RatMatrix([[0.5]])
+        # every exact construction takes its scalars through the same policy
+        a = A_UNEVEN
+        eigvec, update = RatMatrix([[1], [1], [1]]), RatMatrix([[0, 0, 0]])
+        for build in (
+            lambda: balance(a, 0.1),
+            lambda: shift(a, 0.1),
+            lambda: balance_offsets(a, 0.1),
+            lambda: RadoUpdate(a, eigvec, update, [0.1]),
+            lambda: SpectrumList([1, 0.1]),
+            lambda: poly_from_spectrum([(0.5, 0)]),
+            lambda: Poly([0.1]),
+            lambda: Poly.x_minus(0.5),
+        ):
+            with pytest.raises(TypeError, match="not float"):
+                build()
 
     def test_entries_are_exactly_fractions(self):
         class Tagged(Fraction):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -96,6 +97,23 @@ class TestCospectralDs:
             cospectral_ds(REJECTING)
         assert exc.value.column == 3
         assert exc.value.report is not None and not exc.value.report.holds
+
+    def test_one_column_pass(self, monkeypatch):
+        # the slack report and the balanced matrix share one _columns call
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return columns(a)
+
+        # the package re-exports a function named balance, so the module
+        # is taken from importlib rather than as an attribute
+        modules = [importlib.import_module(f"dstoch.{m}") for m in ("balance", "nearness")]
+        columns = modules[0]._columns
+        for module in modules:
+            monkeypatch.setattr(module, "_columns", counting)
+        cospectral_ds(A_UNEVEN)
+        assert calls == [A_UNEVEN]
 
 
 class TestNearestDs:
