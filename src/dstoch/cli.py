@@ -8,6 +8,8 @@ precondition failures.  All output is deterministic given the inputs and
 Each handler returns its exit code, its text and its ``--json`` payload, a
 callable that builds the JSON (None where the subcommand prints text either
 way); only :func:`run` picks the rendering and writes it, to stdout or ``-o``.
+Adding a subcommand means one handler plus one row of ``_COMMANDS``, which
+gives its parser, its help text and the arithmetic mode it runs in.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ from .spectra import (
     poly_from_spectrum,
     similar_to_unit_sums,
 )
-
-#: subcommands that operate on floating matrices / spectra; their handlers
-#: import the float half only when they run
-_FLOAT_ONLY = {"embed", "extract", "realize", "realize-cospectral", "normalize"}
 
 #: value-taking flags whose argument may begin with a minus sign
 _NEGATIVE_VALUE_FLAGS = ("--eps", "--eigenvalues")
@@ -226,6 +224,54 @@ def _seed(text: str) -> int:
     return value
 
 
+_MATRIX = ("matrix", "path to a matrix file")
+_BARE_MATRIX = ("matrix", None)
+_SPECTRUM = ("spectrum", "path to a spectrum file")
+_EPS = ("--eps", {"required": True, "help": "rational shift, e.g. -1/2"})
+_BASIS = [
+    ("--basis", {"choices": ["canonical", "random"], "default": "canonical"}),
+    ("--seed", {"type": _seed, "default": 0, "help": "nonnegative seed for --basis random"}),
+]
+
+#: one row per subcommand, in --help order: name, handler, help text, the
+#: arithmetic mode it runs in, positionals as (name, help) and options as
+#: (flag, add_argument keywords)
+_COMMANDS = [
+    ("classify", _cmd_classify, "row/column-sum structure tag", "exact", [_MATRIX], []),
+    ("colstats", _cmd_colstats, "column sums and minima", "exact", [_MATRIX], []),
+    ("charpoly", _cmd_charpoly, "exact characteristic polynomial", "exact", [_MATRIX], []),
+    ("cospectral", _cmd_cospectral, "compare two characteristic polynomials", "exact",
+     [_BARE_MATRIX, ("other", None)], []),
+    ("check41", _cmd_check41, "is the matrix similar to one with unit row and column sums",
+     "exact", [_MATRIX], []),
+    ("shift", _cmd_shift, "add eps times the uniform matrix", "exact", [_MATRIX], [_EPS]),
+    ("rado", _cmd_rado, "rank-r eigenvalue replacement A + XC", "exact",
+     [_BARE_MATRIX, ("x", "matrix of eigenvector columns"), ("c", "update matrix")],
+     [("--eigenvalues",
+       {"required": True, "help": "comma-separated eigenvalues of the columns"})]),
+    ("threshold", _cmd_threshold, "least feasible shift, both parameterizations", "exact",
+     [_MATRIX], []),
+    ("balance", _cmd_balance, "balanced matrix at a given dominant-eigenvalue shift", "exact",
+     [_MATRIX], [_EPS]),
+    ("balance-min", _cmd_balance_min, "balanced family report", "exact", [_MATRIX], []),
+    ("t33", _cmd_t33, "balanced form with row/column sums n*r", "exact", [_MATRIX], []),
+    ("check4", _cmd_check4, "per-column slack condition", "exact", [_MATRIX], []),
+    ("cospectral-ds", _cmd_cospectral_ds,
+     "doubly stochastic matrix cospectral to a stochastic one", "exact", [_MATRIX], []),
+    ("nearest", _cmd_nearest, "Frobenius projection onto unit row/column sums", "exact",
+     [_MATRIX], [("--distance", {"action": "store_true", "help": "print the squared gap"})]),
+    ("embed", _cmd_embed, "embed an (n-1)-block into unit row/column sums", "float",
+     [_BARE_MATRIX], _BASIS),
+    ("extract", _cmd_extract, "recover the embedded (n-1)-block", "float", [_BARE_MATRIX], _BASIS),
+    ("realize", _cmd_realize, "nonnegative realization with shifted dominant entry", "float",
+     [_SPECTRUM], _BASIS),
+    ("realize-cospectral", _cmd_realize_cospectral, "unit-sum realization of a spectrum",
+     "float", [_SPECTRUM], _BASIS),
+    ("normalize", _cmd_normalize, "diagonal similarity onto constant row sums", "float",
+     [_BARE_MATRIX], []),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", help="write the result to a file")
@@ -242,98 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
         "stochastic matrix spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def matrix_cmd(name, handler, help_text):
+    for name, handler, help_text, mode, positionals, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("matrix", help="path to a matrix file")
-        p.set_defaults(handler=handler)
-        return p
-
-    matrix_cmd("classify", _cmd_classify, "row/column-sum structure tag")
-    matrix_cmd("colstats", _cmd_colstats, "column sums and minima")
-    matrix_cmd("charpoly", _cmd_charpoly, "exact characteristic polynomial")
-
-    p = sub.add_parser(
-        "cospectral", help="compare two characteristic polynomials", parents=[common]
-    )
-    p.add_argument("matrix")
-    p.add_argument("other")
-    p.set_defaults(handler=_cmd_cospectral)
-
-    matrix_cmd(
-        "check41",
-        _cmd_check41,
-        "is the matrix similar to one with unit row and column sums",
-    )
-    p = matrix_cmd("shift", _cmd_shift, "add eps times the uniform matrix")
-    p.add_argument("--eps", required=True, help="rational shift, e.g. -1/2")
-
-    p = sub.add_parser(
-        "rado", help="rank-r eigenvalue replacement A + XC", parents=[common]
-    )
-    p.add_argument("matrix")
-    p.add_argument("x", help="matrix of eigenvector columns")
-    p.add_argument("c", help="update matrix")
-    p.add_argument(
-        "--eigenvalues",
-        required=True,
-        help="comma-separated eigenvalues of the columns",
-    )
-    p.set_defaults(handler=_cmd_rado)
-
-    matrix_cmd(
-        "threshold", _cmd_threshold, "least feasible shift, both parameterizations"
-    )
-    p = matrix_cmd(
-        "balance", _cmd_balance, "balanced matrix at a given dominant-eigenvalue shift"
-    )
-    p.add_argument("--eps", required=True, help="rational shift, e.g. -1/2")
-    matrix_cmd("balance-min", _cmd_balance_min, "balanced family report")
-    matrix_cmd("t33", _cmd_t33, "balanced form with row/column sums n*r")
-    matrix_cmd("check4", _cmd_check4, "per-column slack condition")
-    matrix_cmd(
-        "cospectral-ds",
-        _cmd_cospectral_ds,
-        "doubly stochastic matrix cospectral to a stochastic one",
-    )
-    p = matrix_cmd(
-        "nearest", _cmd_nearest, "Frobenius projection onto unit row/column sums"
-    )
-    p.add_argument("--distance", action="store_true", help="print the squared gap")
-
-    for name, positional, handler, help_text in [
-        ("embed", "matrix", _cmd_embed, "embed an (n-1)-block into unit row/column sums"),
-        ("extract", "matrix", _cmd_extract, "recover the embedded (n-1)-block"),
-        (
-            "realize",
-            "spectrum",
-            _cmd_realize,
-            "nonnegative realization with shifted dominant entry",
-        ),
-        (
-            "realize-cospectral",
-            "spectrum",
-            _cmd_realize_cospectral,
-            "unit-sum realization of a spectrum",
-        ),
-    ]:
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument(
-            positional,
-            help="path to a spectrum file" if positional == "spectrum" else None,
-        )
-        p.add_argument("--basis", choices=["canonical", "random"], default="canonical")
-        p.add_argument(
-            "--seed", type=_seed, default=0, help="nonnegative seed for --basis random"
-        )
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser(
-        "normalize", help="diagonal similarity onto constant row sums", parents=[common]
-    )
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_normalize)
-
+        for arg, arg_help in positionals:
+            p.add_argument(arg, help=arg_help)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler, runs_in=mode)
     return parser
 
 
@@ -372,9 +333,8 @@ def run(argv: list[str] | None = None) -> int:
                 parser.error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    runs_in = "float" if ns.command in _FLOAT_ONLY else "exact"
-    if ns.mode not in (None, runs_in):
-        print(f"error: {ns.command} runs in {runs_in} mode", file=sys.stderr)
+    if ns.mode not in (None, ns.runs_in):
+        print(f"error: {ns.command} runs in {ns.runs_in} mode", file=sys.stderr)
         return 2
     try:
         with warnings.catch_warnings():

@@ -146,7 +146,7 @@ class RatMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        cols = other.transpose()._rows
+        cols = list(zip(*other._rows))
         return RatMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
         )

@@ -415,11 +415,11 @@ def normalize_to_stochastic(a: FloatMatrix) -> tuple[FloatMatrix, float]:
     shifted = arr + np.eye(n)
     v = np.ones(n)
     for _ in range(_POWER_MAX_ITER):
-        lam = float(v @ (shifted @ v) / (v @ v))
-        residual = float(np.abs(shifted @ v - lam * v).max())
+        w = shifted @ v
+        lam = float(v @ w / (v @ v))
+        residual = float(np.abs(w - lam * v).max())
         if residual <= _POWER_TOL * max(1.0, abs(lam)):
             break
-        w = shifted @ v
         top = float(w.max())
         if top <= 0:
             raise NormalizationError("power iteration collapsed to zero")

@@ -117,6 +117,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __call__(self, x):
+        x = _as_fraction(x)
         acc = Fraction(0)
         for c in reversed(self._c):
             acc = acc * x + c

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import dstoch
 import dstoch.orthogonal
 from dstoch import format_matrix, nearest_ds, parse_float_matrix, parse_matrix
-from dstoch.cli import run
+from dstoch.cli import build_parser, run
 from oracles import A_UNEVEN, A_ZEROCOL, B_PROJ, X_MIN
 
 
@@ -197,10 +198,20 @@ class TestRoundTripsAndModes:
         assert run(["nearest", files["z"], "-o", str(target)]) == 0
         assert parse_matrix(target.read_text()) == B_PROJ
 
-    def test_mode_validation(self, files):
-        assert run(["realize", files["spectrum"], "--mode", "exact"]) == 2
-        assert run(["classify", files["a"], "--mode", "float"]) == 2
+    def test_mode_validation(self, files, capsys):
         assert run(["classify", files["a"], "--mode", "exact"]) == 0
+        assert run(["realize", files["spectrum"], "--mode", "float"]) == 0
+        capsys.readouterr()
+        # every subcommand refuses the mode it does not run in
+        commands = {argv[0]: argv for argv, *_ in _PINNED}
+        assert list(commands) == list(_SURFACE)
+        for name, argv in commands.items():
+            runs_in = "float" if name in _FLOAT_COMMANDS else "exact"
+            wrong = "exact" if runs_in == "float" else "float"
+            assert run([files.get(tok, tok) for tok in argv] + ["--mode", wrong]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {name} runs in {runs_in} mode\n"
 
     def test_json_is_built_only_under_json_flag(self, files, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -387,6 +398,100 @@ def test_output_with_and_without_json(files, capsys, argv, code, text, as_json):
     else:
         assert plain == text + "\n"
         assert with_json == (text if as_json is None else as_json) + "\n"
+
+
+_FLOAT_COMMANDS = {"embed", "extract", "realize", "realize-cospectral", "normalize"}
+
+# each subcommand's help line in `dstoch --help` and its argparse actions in
+# order, as (option strings, dest, required, default, choices, help); unlike
+# the --help text, this does not change with the Python version
+_COMMON = [
+    (("-h", "--help"), "help", False, "==SUPPRESS==", None, "show this help message and exit"),
+    (("--output", "-o"), "output", False, None, None, "write the result to a file"),
+    (("--json",), "json", False, False, None, "emit reports as JSON"),
+    (
+        ("--mode",),
+        "mode",
+        False,
+        None,
+        ("exact", "float"),
+        "declare the arithmetic mode; must match the subcommand",
+    ),
+]
+_MATRIX = ((), "matrix", True, None, None, "path to a matrix file")
+_BARE_MATRIX = ((), "matrix", True, None, None, None)
+_SPECTRUM = ((), "spectrum", True, None, None, "path to a spectrum file")
+_EPS = (("--eps",), "eps", True, None, None, "rational shift, e.g. -1/2")
+_BASIS = [
+    (("--basis",), "basis", False, "canonical", ("canonical", "random"), None),
+    (("--seed",), "seed", False, 0, None, "nonnegative seed for --basis random"),
+]
+_SURFACE = {
+    "classify": ("row/column-sum structure tag", [_MATRIX]),
+    "colstats": ("column sums and minima", [_MATRIX]),
+    "charpoly": ("exact characteristic polynomial", [_MATRIX]),
+    "cospectral": (
+        "compare two characteristic polynomials",
+        [_BARE_MATRIX, ((), "other", True, None, None, None)],
+    ),
+    "check41": ("is the matrix similar to one with unit row and column sums", [_MATRIX]),
+    "shift": ("add eps times the uniform matrix", [_MATRIX, _EPS]),
+    "rado": (
+        "rank-r eigenvalue replacement A + XC",
+        [
+            _BARE_MATRIX,
+            ((), "x", True, None, None, "matrix of eigenvector columns"),
+            ((), "c", True, None, None, "update matrix"),
+            (
+                ("--eigenvalues",),
+                "eigenvalues",
+                True,
+                None,
+                None,
+                "comma-separated eigenvalues of the columns",
+            ),
+        ],
+    ),
+    "threshold": ("least feasible shift, both parameterizations", [_MATRIX]),
+    "balance": ("balanced matrix at a given dominant-eigenvalue shift", [_MATRIX, _EPS]),
+    "balance-min": ("balanced family report", [_MATRIX]),
+    "t33": ("balanced form with row/column sums n*r", [_MATRIX]),
+    "check4": ("per-column slack condition", [_MATRIX]),
+    "cospectral-ds": ("doubly stochastic matrix cospectral to a stochastic one", [_MATRIX]),
+    "nearest": (
+        "Frobenius projection onto unit row/column sums",
+        [_MATRIX, (("--distance",), "distance", False, False, None, "print the squared gap")],
+    ),
+    "embed": ("embed an (n-1)-block into unit row/column sums", [_BARE_MATRIX, *_BASIS]),
+    "extract": ("recover the embedded (n-1)-block", [_BARE_MATRIX, *_BASIS]),
+    "realize": ("nonnegative realization with shifted dominant entry", [_SPECTRUM, *_BASIS]),
+    "realize-cospectral": ("unit-sum realization of a spectrum", [_SPECTRUM, *_BASIS]),
+    "normalize": ("diagonal similarity onto constant row sums", [_BARE_MATRIX]),
+}
+
+
+def test_argument_surface():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = {a.dest: a.help for a in sub._choices_actions}
+    surface = {
+        name: (
+            listed[name],
+            [
+                (
+                    tuple(a.option_strings),
+                    a.dest,
+                    a.required,
+                    a.default,
+                    None if a.choices is None else tuple(a.choices),
+                    a.help,
+                )
+                for a in parser._actions
+            ],
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert surface == {name: (text, _COMMON + args) for name, (text, args) in _SURFACE.items()}
+    assert list(surface) == list(_SURFACE)
 
 
 _NUMPY_FREE_SCRIPT = """

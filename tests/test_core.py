@@ -65,6 +65,7 @@ class TestRatMatrix:
             lambda: poly_from_spectrum([(0.5, 0)]),
             lambda: Poly([0.1]),
             lambda: Poly.x_minus(0.5),
+            lambda: Poly([1, 1])(0.5),
         ):
             with pytest.raises(TypeError, match="not float"):
                 build()
