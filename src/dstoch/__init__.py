@@ -74,10 +74,8 @@ _FLOAT_NAMES = (
     "format_float_matrix",
     "charpoly_float",
     "normalize_to_stochastic",
-    "BasisSource",
     "OrthoBasis",
     "canonical_basis",
-    "user_basis",
     "random_basis",
     "embed",
     "extract",

@@ -187,10 +187,7 @@ def _cmd_realize(ns) -> _Result:
     s = parse_spectrum(_read(ns.spectrum))
     b0 = realize_cospectral(s, _basis_for(ns, s.size))
     k, b = _lift(b0)
-    target = [
-        (Fraction(1 + k), Fraction(0)) if i == s.perron_index else e
-        for i, e in enumerate(s.entries)
-    ]
+    target = [(Fraction(1 + k), Fraction(0)), *s.rest()]
     want = [float(c) for c in poly_from_spectrum(target).coefficients]
     got = charpoly_float(b)
     report = {

@@ -15,7 +15,6 @@ Tolerances are fixed module constants.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -39,10 +38,8 @@ __all__ = [
     "format_float_matrix",
     "charpoly_float",
     "normalize_to_stochastic",
-    "BasisSource",
     "OrthoBasis",
     "canonical_basis",
-    "user_basis",
     "random_basis",
     "embed",
     "extract",
@@ -164,8 +161,7 @@ def parse_float_matrix(text: str) -> FloatMatrix:
 def format_float_matrix(a: FloatMatrix) -> str:
     """Text form with 17 significant digits, enough to round-trip every float."""
     return "\n".join(
-        " ".join(format(a[i, j], ".17g") for j in range(a.n_cols))
-        for i in range(a.n_rows)
+        " ".join(format(x, ".17g") for x in row) for row in a.to_numpy().tolist()
     )
 
 
@@ -187,21 +183,15 @@ def charpoly_float(a: FloatMatrix) -> tuple[float, ...]:
     return tuple(float(x) for x in coeffs)
 
 
-class BasisSource(enum.Enum):
-    CANONICAL = "CANONICAL"
-    USER_SUPPLIED = "USER_SUPPLIED"
-
-
 @dataclass(frozen=True)
 class OrthoBasis:
     """Orthogonal matrix whose first column is the normalized all-ones vector.
 
-    Validated on construction: U^T U = I and first column 1/sqrt(n) within
-    ASSEMBLY_TOL; canonical bases are additionally symmetric involutions.
+    ``OrthoBasis(u)`` validates a caller's basis on construction: U^T U = I
+    and first column 1/sqrt(n) within ASSEMBLY_TOL.
     """
 
     u: FloatMatrix
-    source: BasisSource
 
     def __post_init__(self):
         n = self.u.require_square()
@@ -211,11 +201,6 @@ class OrthoBasis:
         lead = 1.0 / sqrt(n)
         if np.abs(arr[:, 0] - lead).max() > ASSEMBLY_TOL:
             raise BasisError("first column is not the normalized all-ones vector")
-        if self.source is BasisSource.CANONICAL:
-            if np.abs(arr - arr.T).max() > ASSEMBLY_TOL:
-                raise BasisError("canonical basis must be symmetric")
-            if np.abs(arr @ arr - np.eye(n)).max() > ASSEMBLY_TOL:
-                raise BasisError("canonical basis must be an involution")
 
     @property
     def n(self) -> int:
@@ -227,7 +212,8 @@ def canonical_basis(n: int) -> OrthoBasis:
 
     Block form: top-left 1/sqrt(n), first row/column 1/sqrt(n) throughout,
     and lower-right block I - (1 + 1/sqrt(n)) times the uniform matrix of
-    order n-1.
+    order n-1.  Besides the checks of :class:`OrthoBasis`, it checks its own
+    symmetry and involution within ASSEMBLY_TOL.
     """
     if n < 1:
         raise DimensionError("order must be at least 1")
@@ -238,12 +224,12 @@ def canonical_basis(n: int) -> OrthoBasis:
     if n > 1:
         block = np.eye(n - 1) - (1.0 + lead) / (n - 1)
         arr[1:, 1:] = block
-    return OrthoBasis(FloatMatrix(arr), BasisSource.CANONICAL)
-
-
-def user_basis(u: FloatMatrix) -> OrthoBasis:
-    """Wrap and validate a caller-supplied orthogonal basis."""
-    return OrthoBasis(u, BasisSource.USER_SUPPLIED)
+    basis = OrthoBasis(FloatMatrix(arr))
+    if np.abs(arr - arr.T).max() > ASSEMBLY_TOL:
+        raise BasisError("canonical basis must be symmetric")
+    if np.abs(arr @ arr - np.eye(n)).max() > ASSEMBLY_TOL:
+        raise BasisError("canonical basis must be an involution")
+    return basis
 
 
 def random_basis(n: int, seed: int) -> OrthoBasis:
@@ -272,7 +258,7 @@ def random_basis(n: int, seed: int) -> OrthoBasis:
         d = np.diagonal(r)
         if np.all(np.abs(d[1:]) >= 1e-8):
             break
-    return OrthoBasis(FloatMatrix(q * np.sign(d)), BasisSource.USER_SUPPLIED)
+    return OrthoBasis(FloatMatrix(q * np.sign(d)))
 
 
 def embed(basis: OrthoBasis, x: FloatMatrix) -> FloatMatrix:
@@ -315,11 +301,6 @@ def extract(basis: OrthoBasis, a: FloatMatrix) -> FloatMatrix:
     return FloatMatrix(m[1:, 1:])
 
 
-def _require_unit_perron(s: SpectrumList) -> None:
-    if s.perron != (1, 0):
-        raise PreconditionError("designated dominant entry must equal 1")
-
-
 def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> FloatMatrix:
     """Matrix with unit row/column sums realizing a spectrum whose dominant
     entry is 1.
@@ -334,7 +315,8 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
     of ``spectra.companion`` (float(-c), not -float(c), so that a zero
     coefficient stays +0.0).
     """
-    _require_unit_perron(s)
+    if s.perron != (1, 0):
+        raise PreconditionError("designated dominant entry must equal 1")
     n = s.size
     if basis is None:
         basis = canonical_basis(n)
@@ -358,7 +340,8 @@ def realize_nonneg(
     nonnegative: n * max(0, -min entry), since the uniform matrix has entries
     1/n.  A min entry above NONNEG_TOL counts as nonnegative, so matrices
     that are nonnegative up to float roundoff keep k = 0.  Returns
-    (k, shifted matrix).
+    (k, shifted matrix); a shifted matrix beyond the float range raises
+    OverflowError.
     """
     return _lift(realize_cospectral(s, basis))
 
@@ -371,7 +354,10 @@ def _lift(b0: FloatMatrix) -> tuple[float, FloatMatrix]:
     if low >= NONNEG_TOL:
         return 0.0, b0
     k = n * -low
-    return k, FloatMatrix(b0.to_numpy() + k / n)
+    lifted = b0.to_numpy() + k / n
+    if not np.all(np.isfinite(lifted)):
+        raise OverflowError("the nonnegative lift leaves the float range")
+    return k, FloatMatrix(lifted)
 
 
 def _matched_eig_err(a: FloatMatrix, target) -> float:

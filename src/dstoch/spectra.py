@@ -211,27 +211,24 @@ def _require_conjugate_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> N
 
 
 class SpectrumList:
-    """Multiset of complex values closed under conjugation, with a designated
-    dominant entry.
+    """Multiset of complex values closed under conjugation, dominant entry
+    first, as in the paper's (r; λ2, …, λn).
 
     Entries are exact (re, im) Fraction pairs; decimal text converts exactly.
-    Conjugate closure is validated exactly on construction.  The designated
-    entry is expected to be real and to dominate every modulus; a violation is
+    Conjugate closure is validated exactly on construction.  The first entry
+    is expected to be real and to dominate every modulus; a violation is
     reported as a :class:`PerronWarning`, not an error, since the list may be
     a candidate spectrum rather than a realized one.
     """
 
-    __slots__ = ("_entries", "_perron_index")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Iterable, perron_index: int = 0):
+    def __init__(self, entries: Iterable):
         items = tuple(_coerce_entry(e) for e in entries)
         if not items:
             raise PreconditionError("spectrum must contain at least one entry")
-        if not 0 <= perron_index < len(items):
-            raise PreconditionError(f"perron_index {perron_index} out of range")
         _require_conjugate_closed(items)
         self._entries = items
-        self._perron_index = perron_index
         self._check_dominance()
 
     def _check_dominance(self) -> None:
@@ -259,32 +256,22 @@ class SpectrumList:
         return self._entries
 
     @property
-    def perron_index(self) -> int:
-        return self._perron_index
-
-    @property
     def perron(self) -> tuple[Fraction, Fraction]:
-        return self._entries[self._perron_index]
+        return self._entries[0]
 
     @property
     def size(self) -> int:
         return len(self._entries)
 
     def rest(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All entries except the designated dominant one."""
-        return tuple(
-            e for i, e in enumerate(self._entries) if i != self._perron_index
-        )
+        """All entries except the dominant one."""
+        return self._entries[1:]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpectrumList)
-            and self._entries == other._entries
-            and self._perron_index == other._perron_index
-        )
+        return isinstance(other, SpectrumList) and self._entries == other._entries
 
     def __repr__(self) -> str:
-        return f"SpectrumList({self._entries!r}, perron_index={self._perron_index})"
+        return f"SpectrumList({self._entries!r})"
 
 
 def parse_spectrum(text: str) -> SpectrumList:

@@ -298,6 +298,15 @@ class TestErrorPaths:
             assert captured.out == ""
             errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
             assert errors == ["error: integer division result too large for a float"]
+        # entries that fit a float, but whose nonnegative lift does not
+        lift = tmp_path / "lift.spectrum"
+        lift.write_text("1\n" + ("1" + "0" * 154 + "\n") * 2)
+        assert run(["realize", str(lift)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: the nonnegative lift leaves the float range"]
+        assert run(["realize-cospectral", str(lift)]) == 0
 
     def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):
         x = tmp_path / "x.mat"

@@ -11,6 +11,8 @@ from dstoch import (
     DimensionError,
     FloatMatrix,
     MembershipError,
+    OrthoBasis,
+    PerronWarning,
     PreconditionError,
     SpectrumList,
     canonical_basis,
@@ -24,7 +26,6 @@ from dstoch import (
     realize_cospectral,
     realize_nonneg,
     uniform_matrix,
-    user_basis,
 )
 from dstoch import orthogonal, spectra
 from dstoch.orthogonal import ASSEMBLY_TOL, MEMBERSHIP_TOL, SPECTRAL_TOL
@@ -66,11 +67,11 @@ class TestCanonicalBasis:
 class TestUserBasis:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(BasisError):
-            user_basis(FloatMatrix([[1, 1], [0, 1]]))
+            OrthoBasis(FloatMatrix([[1, 1], [0, 1]]))
 
     def test_rejects_wrong_first_column(self):
         with pytest.raises(BasisError):
-            user_basis(FloatMatrix.identity(3))
+            OrthoBasis(FloatMatrix.identity(3))
 
     def test_random_basis_is_valid_and_reproducible(self):
         for n in (1, 2, 7, 10):
@@ -88,7 +89,7 @@ class TestRandomBasis:
         for seed, b in zip(seeds, bases):
             u = b.u.to_numpy()
             # the OrthoBasis checks pass again on the bare matrix
-            assert user_basis(b.u).u == b.u
+            assert OrthoBasis(b.u).u == b.u
             # +1/sqrt(n), not -1/sqrt(n): the diag(R) sign fix is applied
             assert np.abs(u[:, 0] - 1 / math.sqrt(n)).max() <= ASSEMBLY_TOL
             assert random_basis(n, seed).u.to_numpy().tobytes() == u.tobytes()
@@ -186,7 +187,7 @@ class TestRealizeCospectral:
 
     def test_rejects_wrong_perron(self):
         with pytest.raises(PreconditionError):
-            realize_cospectral(SpectrumList([Fraction(1, 2), 0], perron_index=0))
+            realize_cospectral(SpectrumList([Fraction(1, 2), 0]))
         # within 1e-12 of 1 is still not 1: realizing 1 would drop the entry
         with pytest.raises(PreconditionError):
             realize_cospectral(SpectrumList([Fraction("1.0000000000001"), 0]))
@@ -288,3 +289,10 @@ class TestRealizeNonneg:
         ks = {round(realize_nonneg(s, random_basis(5, seed=i))[0], 12) for i in range(4)}
         ks.add(round(k_canon, 12))
         assert len(ks) > 1
+
+    def test_lift_beyond_float_range_overflows(self):
+        with pytest.warns(PerronWarning):
+            s = SpectrumList([1, 10**154, 10**154])
+        assert realize_cospectral(s).min_entry() < 0
+        with pytest.raises(OverflowError):
+            realize_nonneg(s)

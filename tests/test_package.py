@@ -5,7 +5,7 @@ import dstoch.orthogonal
 
 #: the package's public names; the float ones load lazily but stay listed
 PUBLIC_NAMES = [
-    "BalanceReport", "BasisError", "BasisSource", "ColumnSlack", "ConjugacyError",
+    "BalanceReport", "BasisError", "ColumnSlack", "ConjugacyError",
     "DimensionError", "DsConditionReport", "DstochError", "FloatMatrix", "FormatError",
     "InfeasibleError", "MembershipError", "NormalizationError", "OrthoBasis",
     "PerronWarning", "Poly", "PreconditionError", "RadoUpdate", "RatMatrix",
@@ -18,14 +18,13 @@ PUBLIC_NAMES = [
     "nullspace", "orthogonal", "parse_float_matrix", "parse_matrix", "parse_scalar",
     "parse_spectrum", "poly_from_spectrum", "rado", "rado_update", "random_basis",
     "realize_cospectral", "realize_nonneg", "shift", "shift_nonneg_threshold",
-    "similar_to_unit_sums", "spectra", "uniform_matrix", "user_basis",
+    "similar_to_unit_sums", "spectra", "uniform_matrix",
 ]
 
 FLOAT_NAMES = [
     "FloatMatrix", "parse_float_matrix", "format_float_matrix", "charpoly_float",
-    "normalize_to_stochastic", "BasisSource", "OrthoBasis", "canonical_basis",
-    "user_basis", "random_basis", "embed", "extract", "realize_cospectral",
-    "realize_nonneg",
+    "normalize_to_stochastic", "OrthoBasis", "canonical_basis", "random_basis",
+    "embed", "extract", "realize_cospectral", "realize_nonneg",
 ]
 
 

@@ -385,7 +385,7 @@ class TestSpectrumList:
 
     def test_dominance_warning(self):
         with pytest.warns(PerronWarning):
-            SpectrumList([Fraction(1, 2), 1, 0], perron_index=0)
+            SpectrumList([Fraction(1, 2), 1, 0])
         with pytest.warns(PerronWarning):
             SpectrumList([(-1, 0), (0, 0)])
 
@@ -398,7 +398,7 @@ class TestSpectrumList:
 
     def test_parse(self):
         s = parse_spectrum("# spectrum\n1\n1/2+1/3 i\n1/2-1/3 i\n-0.25\n")
-        assert s.perron_index == 0
+        assert s.perron == s.entries[0] == (1, 0)
         assert s.entries == (
             (1, 0),
             (Fraction(1, 2), Fraction(1, 3)),
