@@ -15,11 +15,16 @@ Everything here is exact.  The float diagonal scaling onto constant row sums,
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RatMatrix, _as_fraction, _common_row_sum, column_stats, format_matrix
+from .core import (
+    RatMatrix,
+    _as_fraction,
+    _common_row_sum,
+    _Record,
+    column_stats,
+    format_matrix,
+)
 from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
@@ -72,8 +77,15 @@ def _heaviest_column(x: tuple[Fraction, ...]) -> int:
     return x.index(max(x))
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+def _thresholds(n, r, x, bounds) -> tuple[int, Fraction, Fraction]:
+    """The heaviest column m (0-based), the least feasible shift eps_min, and
+    the offset y_m = (eps_min + r - x_m)/n of column m at that shift."""
+    m = _heaviest_column(x)
+    eps_min = max(bounds) - r
+    return m, eps_min, Fraction(eps_min + r - x[m], n)
+
+
+class BalanceReport(_Record):
     """Full description of the balanced family of one matrix.
 
     Column indices (``m``, ``tight_columns``) are 1-based, matching the
@@ -83,14 +95,29 @@ class BalanceReport:
     threshold, which is nonnegative with a zero entry in a tight column.
     """
 
-    r: Fraction
-    x: tuple[Fraction, ...]
-    a: tuple[Fraction, ...]
-    m: int
-    y_threshold: Fraction
-    epsilon_threshold: Fraction
-    b_min: RatMatrix
-    tight_columns: frozenset[int]
+    __slots__ = (
+        "r", "x", "a", "m", "y_threshold", "epsilon_threshold", "b_min", "tight_columns"
+    )
+
+    def __init__(
+        self,
+        r: Fraction,
+        x: tuple[Fraction, ...],
+        a: tuple[Fraction, ...],
+        m: int,
+        y_threshold: Fraction,
+        epsilon_threshold: Fraction,
+        b_min: RatMatrix,
+        tight_columns: frozenset[int],
+    ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "y_threshold", y_threshold)
+        object.__setattr__(self, "epsilon_threshold", epsilon_threshold)
+        object.__setattr__(self, "b_min", b_min)
+        object.__setattr__(self, "tight_columns", tight_columns)
 
     def to_text(self) -> str:
         lines = [
@@ -107,6 +134,8 @@ class BalanceReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "r": str(self.r),
@@ -156,9 +185,7 @@ def balance(a: RatMatrix, eps) -> RatMatrix:
 def balance_minimal(a: RatMatrix) -> BalanceReport:
     """The balanced family at its threshold, with both parameterizations."""
     n, r, x, mins, bounds = _columns(a)
-    m = _heaviest_column(x)
-    eps_min = max(bounds) - r
-    y_min = Fraction(eps_min + r - x[m], n)
+    m, eps_min, y_min = _thresholds(n, r, x, bounds)
     tight = frozenset(j + 1 for j in range(n) if bounds[j] == max(bounds))
     return BalanceReport(
         r=r,

@@ -9,32 +9,22 @@ Each handler returns its exit code, its text and its ``--json`` payload, a
 callable that builds the JSON (None where the subcommand prints text either
 way); only :func:`run` picks the rendering and writes it, to stdout or ``-o``.
 Adding a subcommand means one handler plus one row of ``_COMMANDS``, which
-gives its parser, its help text and the arithmetic mode it runs in.
+gives its parser, its help text and the arithmetic mode it runs in.  A
+handler imports what it needs beyond ``core`` and ``balance`` itself, so a
+process loads only the modules its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from collections.abc import Callable
 from fractions import Fraction
-from pathlib import Path
 
-from .balance import balance, balance_minimal, balance_nr
+from .balance import _columns, _thresholds, balance, balance_minimal, balance_nr
 from .core import classify, column_stats, format_matrix, parse_matrix, parse_scalar
 from .errors import DstochError, FormatError
-from .nearness import cospectral_ds, ds_condition, nearest_ds, nearest_ds_distance_sq
-from .rado import RadoUpdate, rado_update, shift
-from .spectra import (
-    charpoly,
-    cospectral,
-    format_poly,
-    parse_spectrum,
-    poly_from_spectrum,
-    similar_to_unit_sums,
-)
 
 #: value-taking flags whose argument may begin with a minus sign
 _NEGATIVE_VALUE_FLAGS = ("--eps", "--eigenvalues")
@@ -44,7 +34,8 @@ _Result = tuple[int, str, "Callable[[], str] | None"]
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError:
         raise FormatError(f"{path} is not UTF-8 text") from None
 
@@ -55,47 +46,65 @@ def _load_matrix(path: str):
 
 def _emit(ns, text: str) -> None:
     if ns.output:
-        Path(ns.output).write_text(text + "\n", encoding="utf-8")
+        with open(ns.output, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     else:
         print(text)
+
+
+def _json(value) -> str:
+    # json loads only for the outputs that use it
+    import json
+
+    return json.dumps(value)
 
 
 def _cmd_classify(ns) -> _Result:
     cls = classify(_load_matrix(ns.matrix))
     r = None if cls.r is None else str(cls.r)
-    return 0, str(cls), lambda: json.dumps({"tag": cls.tag.value, "r": r})
+    return 0, str(cls), lambda: _json({"tag": cls.tag.value, "r": r})
 
 
 def _cmd_colstats(ns) -> _Result:
     x, a = column_stats(_load_matrix(ns.matrix))
     text = f"x: {' '.join(str(v) for v in x)}\na: {' '.join(str(v) for v in a)}"
-    return 0, text, lambda: json.dumps({"x": [str(v) for v in x], "a": [str(v) for v in a]})
+    return 0, text, lambda: _json({"x": [str(v) for v in x], "a": [str(v) for v in a]})
 
 
 def _cmd_charpoly(ns) -> _Result:
+    from .spectra import charpoly, format_poly
+
     p = charpoly(_load_matrix(ns.matrix))
-    return 0, format_poly(p), lambda: json.dumps(
+    return 0, format_poly(p), lambda: _json(
         {"coefficients": [str(c) for c in p.coefficients]}
     )
 
 
 def _cmd_cospectral(ns) -> _Result:
+    from .spectra import cospectral
+
     verdict = cospectral(_load_matrix(ns.matrix), _load_matrix(ns.other))
     text = "cospectral" if verdict else "not cospectral"
-    return 0 if verdict else 1, text, lambda: json.dumps({"cospectral": verdict})
+    return 0 if verdict else 1, text, lambda: _json({"cospectral": verdict})
 
 
 def _cmd_check41(ns) -> _Result:
+    from .spectra import similar_to_unit_sums
+
     verdict = similar_to_unit_sums(_load_matrix(ns.matrix))
     text = "true" if verdict else "false"
-    return 0 if verdict else 1, text, lambda: json.dumps({"similar_to_unit_sums": verdict})
+    return 0 if verdict else 1, text, lambda: _json({"similar_to_unit_sums": verdict})
 
 
 def _cmd_shift(ns) -> _Result:
+    from .rado import shift
+
     return 0, format_matrix(shift(_load_matrix(ns.matrix), parse_scalar(ns.eps))), None
 
 
 def _cmd_rado(ns) -> _Result:
+    from .rado import RadoUpdate, rado_update
+
     a = _load_matrix(ns.matrix)
     update = RadoUpdate(
         a,
@@ -107,10 +116,11 @@ def _cmd_rado(ns) -> _Result:
 
 
 def _cmd_threshold(ns) -> _Result:
-    report = balance_minimal(_load_matrix(ns.matrix))
-    fields = {"epsilon_threshold": report.epsilon_threshold, "y_threshold": report.y_threshold}
+    n, r, x, _, bounds = _columns(_load_matrix(ns.matrix))
+    _, eps_min, y_min = _thresholds(n, r, x, bounds)
+    fields = {"epsilon_threshold": eps_min, "y_threshold": y_min}
     text = "\n".join(f"{k} = {v}" for k, v in fields.items())
-    return 0, text, lambda: json.dumps({k: str(v) for k, v in fields.items()})
+    return 0, text, lambda: _json({k: str(v) for k, v in fields.items()})
 
 
 def _cmd_balance(ns) -> _Result:
@@ -127,15 +137,21 @@ def _cmd_t33(ns) -> _Result:
 
 
 def _cmd_check4(ns) -> _Result:
+    from .nearness import ds_condition
+
     report = ds_condition(_load_matrix(ns.matrix))
     return 0 if report.holds else 1, report.to_text(), report.to_json
 
 
 def _cmd_cospectral_ds(ns) -> _Result:
+    from .nearness import cospectral_ds
+
     return 0, format_matrix(cospectral_ds(_load_matrix(ns.matrix))), None
 
 
 def _cmd_nearest(ns) -> _Result:
+    from .nearness import nearest_ds, nearest_ds_distance_sq
+
     a = _load_matrix(ns.matrix)
     if ns.distance:
         text = str(nearest_ds_distance_sq(a))
@@ -170,6 +186,7 @@ def _cmd_extract(ns) -> _Result:
 
 def _cmd_realize_cospectral(ns) -> _Result:
     from .orthogonal import format_float_matrix, realize_cospectral
+    from .spectra import parse_spectrum
 
     s = parse_spectrum(_read(ns.spectrum))
     return 0, format_float_matrix(realize_cospectral(s, _basis_for(ns, s.size))), None
@@ -183,6 +200,7 @@ def _cmd_realize(ns) -> _Result:
         format_float_matrix,
         realize_cospectral,
     )
+    from .spectra import parse_spectrum, poly_from_spectrum
 
     s = parse_spectrum(_read(ns.spectrum))
     b0 = realize_cospectral(s, _basis_for(ns, s.size))
@@ -197,7 +215,7 @@ def _cmd_realize(ns) -> _Result:
         "charpoly_residual": max(abs(p - q) for p, q in zip(got, want)),
         "eig_err": _matched_eig_err(b, target),
     }
-    return 0, format_float_matrix(b) + "\n# " + json.dumps(report), None
+    return 0, format_float_matrix(b) + "\n# " + _json(report), None
 
 
 def _cmd_normalize(ns) -> _Result:
@@ -269,7 +287,15 @@ _COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, built in full only where it will parse.
+
+    Every ``_COMMANDS`` row registers its name and help line, so ``--help``
+    and the usage lines list all subcommands.  When ``argv[0]`` names a
+    subcommand, only that row also gets its arguments; otherwise every row
+    does.
+    """
+    named = argv[0] if argv and argv[0] in {row[0] for row in _COMMANDS} else None
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", help="write the result to a file")
     common.add_argument("--json", action="store_true", help="emit reports as JSON")
@@ -286,6 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, mode, positionals, options in _COMMANDS:
+        if named not in (None, name):
+            sub.add_parser(name, help=help_text)
+            continue
         p = sub.add_parser(name, help=help_text, parents=[common])
         for arg, arg_help in positionals:
             p.add_argument(arg, help=arg_help)
@@ -320,9 +349,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    argv = _merge_negative_values(list(argv))
+    parser = build_parser(argv)
     try:
-        ns = parser.parse_args(_merge_negative_values(list(argv)))
+        ns = parser.parse_args(argv)
         for flag in _NEGATIVE_VALUE_FLAGS:
             # argparse (Python 3.11, for one) strips the `--` out of
             # `--eps=--` and stores an empty list instead of a string

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from typing import Iterable
 
 from .errors import DimensionError, FormatError
 
@@ -190,16 +190,54 @@ class Stochasticity(enum.Enum):
     DOUBLY_STOCHASTIC = "DOUBLY_STOCHASTIC"
 
 
-@dataclass(frozen=True)
-class StochClass:
+class _Record:
+    """Base of the immutable result records: their fields are ``__slots__``,
+    set once in ``__init__``; records compare and hash as their field tuple,
+    only against the same class, and print like a dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class StochClass(_Record):
     """Classification result: the most specific tag plus the row-sum value.
 
     ``r`` is None exactly when the tag carries no row-sum information
     (GENERAL, NONNEGATIVE_ONLY).
     """
 
-    tag: Stochasticity
-    r: Fraction | None = None
+    __slots__ = ("tag", "r")
+
+    def __init__(self, tag: Stochasticity, r: Fraction | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "r", r)
 
     def __str__(self) -> str:
         if self.r is None:
@@ -284,6 +322,12 @@ def parse_scalar(token: str) -> Fraction:
         return Fraction(token)
     except ZeroDivisionError:
         raise FormatError(f"bad entry {token!r}: zero denominator") from None
+    except ValueError:
+        # int() refuses a digit string longer than this interpreter's limit
+        raise FormatError(
+            f"bad entry {token[:20]}... ({len(token)} characters): more than "
+            f"{sys.get_int_max_str_digits()} digits in one integer"
+        ) from None
 
 
 def _data_lines(text: str) -> list[str]:

@@ -10,12 +10,10 @@ stochastic, in which case it is also cospectral to A.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balance import _balanced, _columns
-from .core import RatMatrix, frobenius_distance_sq
+from .core import RatMatrix, _Record, frobenius_distance_sq
 from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
@@ -28,18 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ColumnSlack:
+class ColumnSlack(_Record):
     """Slack record for one column (1-based index j): slack = 1 + n*a_j - x_j."""
 
-    j: int
-    x: Fraction
-    a: Fraction
-    slack: Fraction
+    __slots__ = ("j", "x", "a", "slack")
+
+    def __init__(self, j: int, x: Fraction, a: Fraction, slack: Fraction):
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "slack", slack)
 
 
-@dataclass(frozen=True)
-class DsConditionReport:
+class DsConditionReport(_Record):
     """Outcome of the per-column slack test on a stochastic matrix.
 
     ``holds`` iff every slack is nonnegative, which happens exactly when the
@@ -48,9 +47,14 @@ class DsConditionReport:
     (1-based) or None.
     """
 
-    holds: bool
-    per_column: tuple[ColumnSlack, ...]
-    first_violation: int | None
+    __slots__ = ("holds", "per_column", "first_violation")
+
+    def __init__(
+        self, holds: bool, per_column: tuple[ColumnSlack, ...], first_violation: int | None
+    ):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "per_column", per_column)
+        object.__setattr__(self, "first_violation", first_violation)
 
     def to_text(self) -> str:
         lines = [
@@ -60,6 +64,8 @@ class DsConditionReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "holds": self.holds,

@@ -15,13 +15,10 @@ Tolerances are fixed module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
-from .core import _data_lines
+from .core import _data_lines, _Record
 from .errors import (
     BasisError,
     DimensionError,
@@ -31,6 +28,10 @@ from .errors import (
     PreconditionError,
 )
 from .spectra import SpectrumList, _poly_from_closed
+
+# numpy loads after dstoch.spectra: without a bytecode cache, compiling spectra
+# while numpy is in memory would add to a float subcommand's peak memory
+import numpy as np
 
 __all__ = [
     "FloatMatrix",
@@ -183,24 +184,24 @@ def charpoly_float(a: FloatMatrix) -> tuple[float, ...]:
     return tuple(float(x) for x in coeffs)
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
+class OrthoBasis(_Record):
     """Orthogonal matrix whose first column is the normalized all-ones vector.
 
     ``OrthoBasis(u)`` validates a caller's basis on construction: U^T U = I
     and first column 1/sqrt(n) within ASSEMBLY_TOL.
     """
 
-    u: FloatMatrix
+    __slots__ = ("u",)
 
-    def __post_init__(self):
-        n = self.u.require_square()
-        arr = self.u.to_numpy()
+    def __init__(self, u: FloatMatrix):
+        n = u.require_square()
+        arr = u.to_numpy()
         if np.abs(arr.T @ arr - np.eye(n)).max() > ASSEMBLY_TOL:
             raise BasisError("matrix is not orthogonal within tolerance")
         lead = 1.0 / sqrt(n)
         if np.abs(arr[:, 0] - lead).max() > ASSEMBLY_TOL:
             raise BasisError("first column is not the normalized all-ones vector")
+        object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:

@@ -8,8 +8,8 @@ eigenvalue.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .core import RatMatrix, _as_fraction, _common_row_sum
 from .errors import DimensionError, PreconditionError

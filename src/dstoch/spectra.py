@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 import warnings
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Iterable, Sequence
 
 from .core import RatMatrix, _as_fraction, _data_lines, _lcm_denominator, parse_scalar
 from .errors import (

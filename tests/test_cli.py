@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -70,6 +71,15 @@ class TestConstructions:
         assert capsys.readouterr().out.strip() == format_matrix(X_MIN)
 
     def test_threshold_prints_both(self, files, capsys):
+        assert run(["threshold", files["a"]]) == 0
+        assert out_lines(capsys) == ["epsilon_threshold = -1/2", "y_threshold = -1/3"]
+
+    def test_threshold_does_not_build_b_min(self, files, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("threshold built the balanced matrix")
+
+        # dstoch.balance is the function, so the module comes from importlib
+        monkeypatch.setattr(importlib.import_module("dstoch.balance"), "_balanced", refuse)
         assert run(["threshold", files["a"]]) == 0
         assert out_lines(capsys) == ["epsilon_threshold = -1/2", "y_threshold = -1/3"]
 
@@ -217,7 +227,7 @@ class TestRoundTripsAndModes:
         def refuse(*args, **kwargs):
             raise AssertionError("JSON built without --json")
 
-        monkeypatch.setattr(dstoch.cli.json, "dumps", refuse)
+        monkeypatch.setattr(json, "dumps", refuse)
         monkeypatch.setattr(dstoch.BalanceReport, "to_json", refuse)
         monkeypatch.setattr(dstoch.DsConditionReport, "to_json", refuse)
         a, z, b = files["a"], files["z"], files["b"]
@@ -307,6 +317,26 @@ class TestErrorPaths:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert errors == ["error: the nonnegative lift leaves the float range"]
         assert run(["realize-cospectral", str(lift)]) == 0
+
+    def test_over_long_integer_is_a_format_error(self, tmp_path, files, capsys):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no integer string conversion limit")
+        digits = "1" * (limit + 700)
+        matrix = tmp_path / "long.mat"
+        matrix.write_text(f"{digits}0 0\n0 1\n")
+        spectrum = tmp_path / "long.spectrum"
+        spectrum.write_text(f"1\n0.{digits}\n")
+        for argv in (
+            ["classify", str(matrix)],
+            ["realize", str(spectrum)],
+            ["shift", "--eps", digits, files["a"]],
+        ):
+            assert run(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
 
     def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):
         x = tmp_path / "x.mat"
@@ -514,6 +544,39 @@ for argv in json.loads(sys.argv[1]):
         codes.append(dstoch.cli.run(argv))
 print(json.dumps(codes))
 """
+
+
+_LEAN_START_SCRIPT = """
+import contextlib, io, sys
+import dstoch.cli
+unwanted = sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert dstoch.cli.run(["classify", sys.argv[1]]) == 0
+    after_classify = [name for name in unwanted if name in sys.modules]
+    assert dstoch.cli.run(["balance-min", sys.argv[1], "--json"]) == 0
+print(after_classify, "json" in sys.modules)
+"""
+
+#: modules that `dstoch classify` has no use for
+_NOT_LOADED_BY_CLASSIFY = [
+    "dataclasses", "json", "typing", "pathlib", "numpy",
+    "dstoch.spectra", "dstoch.nearness", "dstoch.rado", "dstoch.orthogonal",
+]
+
+
+def test_classify_loads_only_what_it_runs(files):
+    # -S keeps site hooks from loading anything before dstoch does
+    env = dict(os.environ, PYTHONPATH=str(Path(dstoch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LEAN_START_SCRIPT, files["a"], *_NOT_LOADED_BY_CLASSIFY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # nothing unwanted after classify, and json once a report prints as JSON
+    assert proc.stdout == "[] True\n"
 
 
 def test_exact_subcommands_run_without_numpy(files):

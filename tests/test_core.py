@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstoch import (
+    ColumnSlack,
     DimensionError,
     FloatMatrix,
     FormatError,
@@ -13,11 +17,15 @@ from dstoch import (
     RadoUpdate,
     RatMatrix,
     SpectrumList,
+    StochClass,
     Stochasticity,
     balance,
+    balance_minimal,
     balance_offsets,
+    canonical_basis,
     classify,
     column_stats,
+    ds_condition,
     format_float_matrix,
     format_matrix,
     frobenius_distance_sq,
@@ -31,6 +39,11 @@ from dstoch import (
 from oracles import A_UNEVEN, A_ZEROCOL, rand_matrix
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+#: a digit string one longer than int() converts, sized for this interpreter
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_TOO_LONG = "1" * (_DIGIT_LIMIT + 1)
+_OVER_LIMIT = pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="no integer conversion limit")
 
 
 def square_matrices(max_n=5):
@@ -253,7 +266,15 @@ class TestTextFormat:
     def test_decimal_is_exact(self):
         assert parse_scalar("0.1") == Fraction(1, 10)
 
-    @pytest.mark.parametrize("bad", ["", "# only comment", "1 2\n3", "1 x", "1/0", "1/-2", "+1", "1."])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "", "# only comment", "1 2\n3", "1 x", "1/0", "1/-2", "+1", "1.",
+            pytest.param(f"{_TOO_LONG} 0\n0 1", marks=_OVER_LIMIT, id="long-numerator"),
+            pytest.param(f"1/{_TOO_LONG} 0\n0 1", marks=_OVER_LIMIT, id="long-denominator"),
+            pytest.param(f"0.{_TOO_LONG} 0\n0 1", marks=_OVER_LIMIT, id="long-decimal"),
+        ],
+    )
     def test_rejects_bad_input(self, bad):
         with pytest.raises(FormatError):
             parse_matrix(bad)
@@ -288,3 +309,55 @@ class TestFloatMatrix:
         assert parse_float_matrix("1/4 0.75\n1e-3 2") == FloatMatrix(
             [[0.25, 0.75], [0.001, 2.0]]
         )
+
+
+_STOCHASTIC_2X2 = "1/2 1/2\n1/4 3/4"
+
+#: each record type, built twice from one factory, with its exact repr
+_RECORDS = {
+    "StochClass": (
+        lambda: StochClass(Stochasticity.STOCHASTIC, Fraction(1)),
+        "StochClass(tag=<Stochasticity.STOCHASTIC: 'STOCHASTIC'>, r=Fraction(1, 1))",
+    ),
+    "ColumnSlack": (
+        lambda: ColumnSlack(j=1, x=Fraction(3, 4), a=Fraction(1, 4), slack=Fraction(3, 4)),
+        "ColumnSlack(j=1, x=Fraction(3, 4), a=Fraction(1, 4), slack=Fraction(3, 4))",
+    ),
+    "DsConditionReport": (
+        lambda: ds_condition(parse_matrix(_STOCHASTIC_2X2)),
+        "DsConditionReport(holds=True, per_column=(ColumnSlack(j=1, x=Fraction(3, 4), "
+        "a=Fraction(1, 4), slack=Fraction(3, 4)), ColumnSlack(j=2, x=Fraction(5, 4), "
+        "a=Fraction(1, 2), slack=Fraction(3, 4))), first_violation=None)",
+    ),
+    "BalanceReport": (
+        lambda: balance_minimal(parse_matrix(_STOCHASTIC_2X2)),
+        "BalanceReport(r=Fraction(1, 1), x=(Fraction(3, 4), Fraction(5, 4)), "
+        "a=(Fraction(1, 4), Fraction(1, 2)), m=2, y_threshold=Fraction(-1, 2), "
+        "epsilon_threshold=Fraction(-3, 4), b_min=RatMatrix(2x2: 1/4 0; 0 1/4), "
+        "tight_columns=frozenset({1, 2}))",
+    ),
+    "OrthoBasis": (lambda: canonical_basis(2), "OrthoBasis(u=FloatMatrix(2x2))"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS))
+def test_record_value_semantics(kind):
+    make, text = _RECORDS[kind]
+    rec, twin = make(), make()
+    values = tuple(getattr(rec, name) for name in type(rec).__match_args__)
+    assert rec == twin and rec is not twin
+    assert rec != values
+    if kind == "OrthoBasis":
+        # a FloatMatrix is unhashable, so the basis is too, as with the field tuple
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin) == hash(values)
+    assert repr(rec) == text
+    first = type(rec).__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, first, getattr(twin, first))
+    with pytest.raises(AttributeError):
+        delattr(rec, first)
+    for back in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
+        assert type(back) is type(rec) and back == rec
