@@ -99,26 +99,6 @@ class BalanceReport(_Record):
         "r", "x", "a", "m", "y_threshold", "epsilon_threshold", "b_min", "tight_columns"
     )
 
-    def __init__(
-        self,
-        r: Fraction,
-        x: tuple[Fraction, ...],
-        a: tuple[Fraction, ...],
-        m: int,
-        y_threshold: Fraction,
-        epsilon_threshold: Fraction,
-        b_min: RatMatrix,
-        tight_columns: frozenset[int],
-    ):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "y_threshold", y_threshold)
-        object.__setattr__(self, "epsilon_threshold", epsilon_threshold)
-        object.__setattr__(self, "b_min", b_min)
-        object.__setattr__(self, "tight_columns", tight_columns)
-
     def to_text(self) -> str:
         lines = [
             f"r = {self.r}",
@@ -187,16 +167,8 @@ def balance_minimal(a: RatMatrix) -> BalanceReport:
     n, r, x, mins, bounds = _columns(a)
     m, eps_min, y_min = _thresholds(n, r, x, bounds)
     tight = frozenset(j + 1 for j in range(n) if bounds[j] == max(bounds))
-    return BalanceReport(
-        r=r,
-        x=x,
-        a=mins,
-        m=m + 1,
-        y_threshold=y_min,
-        epsilon_threshold=eps_min,
-        b_min=_balanced(a, n, r, x, bounds, eps_min),
-        tight_columns=tight,
-    )
+    b_min = _balanced(a, n, r, x, bounds, eps_min)
+    return BalanceReport(r, x, mins, m + 1, y_min, eps_min, b_min, tight)
 
 
 def balance_nr(a: RatMatrix) -> RatMatrix:

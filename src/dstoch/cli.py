@@ -34,7 +34,8 @@ _Result = tuple[int, str, "Callable[[], str] | None"]
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as f:
+        # utf-8-sig also reads UTF-8 text that starts with a byte-order mark
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeDecodeError:
         raise FormatError(f"{path} is not UTF-8 text") from None
@@ -377,6 +378,16 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except (DstochError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # str() refuses an int longer than this interpreter's digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            "error: the exact result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())",
+            file=sys.stderr,
+        )
         return 3
 
 

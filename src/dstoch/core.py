@@ -41,7 +41,41 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class RatMatrix:
+class _Grid:
+    """Shape rules shared by the exact and the float matrix types: each
+    defines ``n_rows`` and ``n_cols`` and builds from nested lists."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeros(cls, n_rows: int, n_cols: int | None = None):
+        n_cols = n_rows if n_cols is None else n_cols
+        return cls([[0] * n_cols for _ in range(n_rows)])
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_cols
+
+    @property
+    def is_square(self) -> bool:
+        return self.n_rows == self.n_cols
+
+    def require_square(self) -> int:
+        n = self.n_rows
+        if n != self.n_cols:
+            raise DimensionError(f"matrix must be square, got {self.shape}")
+        return n
+
+    def _require_same_shape(self, other) -> None:
+        if self.shape != other.shape:
+            raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+
+class RatMatrix(_Grid):
     """Dense matrix of exact rationals, stored row-major and immutable."""
 
     __slots__ = ("_rows",)
@@ -55,15 +89,6 @@ class RatMatrix:
             raise DimensionError("all rows must have the same length")
         self._rows = grid
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int | None = None) -> "RatMatrix":
-        n_cols = n_rows if n_cols is None else n_cols
-        return cls([[0] * n_cols for _ in range(n_rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def n_rows(self) -> int:
         return len(self._rows)
@@ -71,19 +96,6 @@ class RatMatrix:
     @property
     def n_cols(self) -> int:
         return len(self._rows[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.n_rows, self.n_cols
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def require_square(self) -> int:
-        if not self.is_square:
-            raise DimensionError(f"matrix must be square, got {self.shape}")
-        return self.n_rows
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -174,10 +186,6 @@ class RatMatrix:
     def is_nonnegative(self) -> bool:
         return all(e >= 0 for row in self._rows for e in row)
 
-    def _require_same_shape(self, other: "RatMatrix") -> None:
-        if self.shape != other.shape:
-            raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
-
 
 class Stochasticity(enum.Enum):
     """Row/column-sum structure tags, from least to most specific."""
@@ -192,14 +200,36 @@ class Stochasticity(enum.Enum):
 
 class _Record:
     """Base of the immutable result records: their fields are ``__slots__``,
-    set once in ``__init__``; records compare and hash as their field tuple,
-    only against the same class, and print like a dataclass."""
+    bound once by ``__init__`` from positional or keyword arguments, with
+    defaults from ``_defaults``; records compare and hash as their field
+    tuple, only against the same class, and print like a dataclass."""
 
     __slots__ = ()
+    #: field name -> default, for the fields a caller may leave out
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # bind the fields as a call binds its arguments
+            kind = type(self).__qualname__
+            if len(args) > len(names):
+                raise TypeError(f"{kind}() takes {len(names)} fields but {len(args)} were given")
+            given = dict(zip(names, args))
+            for name in kwargs:
+                if name not in names or name in given:
+                    raise TypeError(f"{kind}() got an unknown or repeated field {name!r}")
+            values = {**self._defaults, **given, **kwargs}
+            missing = [name for name in names if name not in values]
+            if missing:
+                raise TypeError(f"{kind}() is missing the fields {', '.join(missing)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -234,10 +264,7 @@ class StochClass(_Record):
     """
 
     __slots__ = ("tag", "r")
-
-    def __init__(self, tag: Stochasticity, r: Fraction | None = None):
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "r", r)
+    _defaults = {"r": None}
 
     def __str__(self) -> str:
         if self.r is None:
@@ -339,6 +366,17 @@ def _data_lines(text: str) -> list[str]:
     return lines
 
 
+def _parse_rows(text: str, entry) -> list[list]:
+    """The matrix text grammar: one row per data line, whitespace-separated
+    tokens each read by ``entry``, at least one row and all of one length."""
+    rows = [[entry(tok) for tok in line.split()] for line in _data_lines(text)]
+    if not rows:
+        raise FormatError("no matrix rows found")
+    if len({len(r) for r in rows}) != 1:
+        raise FormatError("all rows must have the same number of entries")
+    return rows
+
+
 def parse_matrix(text: str) -> RatMatrix:
     """Parse the canonical matrix text format into an exact matrix.
 
@@ -346,12 +384,7 @@ def parse_matrix(text: str) -> RatMatrix:
     starts a comment, blank lines are ignored.  Decimal entries convert
     exactly (powers of ten), so parsing is bit-exact.
     """
-    rows = [[parse_scalar(tok) for tok in line.split()] for line in _data_lines(text)]
-    if not rows:
-        raise FormatError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise FormatError("all rows must have the same number of entries")
-    return RatMatrix(rows)
+    return RatMatrix(_parse_rows(text, parse_scalar))
 
 
 def format_matrix(a: RatMatrix) -> str:

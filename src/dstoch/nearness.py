@@ -31,12 +31,6 @@ class ColumnSlack(_Record):
 
     __slots__ = ("j", "x", "a", "slack")
 
-    def __init__(self, j: int, x: Fraction, a: Fraction, slack: Fraction):
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "slack", slack)
-
 
 class DsConditionReport(_Record):
     """Outcome of the per-column slack test on a stochastic matrix.
@@ -48,13 +42,6 @@ class DsConditionReport(_Record):
     """
 
     __slots__ = ("holds", "per_column", "first_violation")
-
-    def __init__(
-        self, holds: bool, per_column: tuple[ColumnSlack, ...], first_violation: int | None
-    ):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "per_column", per_column)
-        object.__setattr__(self, "first_violation", first_violation)
 
     def to_text(self) -> str:
         lines = [
@@ -97,11 +84,7 @@ def _slack_report(n, r, x, mins, bounds) -> DsConditionReport:
         raise PreconditionError("matrix must be stochastic")
     records = tuple(ColumnSlack(j + 1, x[j], mins[j], 1 - bounds[j]) for j in range(n))
     violations = [c.j for c in records if c.slack < 0]
-    return DsConditionReport(
-        holds=not violations,
-        per_column=records,
-        first_violation=violations[0] if violations else None,
-    )
+    return DsConditionReport(not violations, records, violations[0] if violations else None)
 
 
 def cospectral_ds(a: RatMatrix) -> RatMatrix:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import sqrt
 
-from .core import _data_lines, _Record
+from .core import _Grid, _parse_rows, _Record
 from .errors import (
     BasisError,
     DimensionError,
@@ -64,7 +64,7 @@ SPECTRAL_TOL = 1e-9
 NONNEG_TOL = -1e-10
 
 
-class FloatMatrix:
+class FloatMatrix(_Grid):
     """Dense matrix of finite 64-bit floats, immutable."""
 
     __slots__ = ("_a",)
@@ -81,14 +81,6 @@ class FloatMatrix:
         a.setflags(write=False)
         self._a = a
 
-    @classmethod
-    def identity(cls, n: int) -> "FloatMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int | None = None) -> "FloatMatrix":
-        return cls(np.zeros((n_rows, n_rows if n_cols is None else n_cols)))
-
     @property
     def n_rows(self) -> int:
         return self._a.shape[0]
@@ -96,19 +88,6 @@ class FloatMatrix:
     @property
     def n_cols(self) -> int:
         return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def require_square(self) -> int:
-        if not self.is_square:
-            raise DimensionError(f"matrix must be square, got {self.shape}")
-        return self.n_rows
 
     def __getitem__(self, key: tuple[int, int]) -> float:
         i, j = key
@@ -138,25 +117,19 @@ class FloatMatrix:
         )
 
 
+def _float_entry(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        try:
+            return float(Fraction(tok))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise FormatError(f"bad float entry {tok!r}") from None
+
+
 def parse_float_matrix(text: str) -> FloatMatrix:
     """Parse a matrix in floating mode; accepts float literals and p/q entries."""
-    rows = []
-    for line in _data_lines(text):
-        row = []
-        for tok in line.split():
-            try:
-                row.append(float(tok))
-            except ValueError:
-                try:
-                    row.append(float(Fraction(tok)))
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    raise FormatError(f"bad float entry {tok!r}") from None
-        rows.append(row)
-    if not rows:
-        raise FormatError("no matrix rows found")
-    if len({len(r) for r in rows}) != 1:
-        raise FormatError("all rows must have the same number of entries")
-    return FloatMatrix(rows)
+    return FloatMatrix(_parse_rows(text, _float_entry))
 
 
 def format_float_matrix(a: FloatMatrix) -> str:
@@ -201,7 +174,7 @@ class OrthoBasis(_Record):
         lead = 1.0 / sqrt(n)
         if np.abs(arr[:, 0] - lead).max() > ASSEMBLY_TOL:
             raise BasisError("first column is not the normalized all-ones vector")
-        object.__setattr__(self, "u", u)
+        super().__init__(u)
 
     @property
     def n(self) -> int:

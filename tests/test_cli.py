@@ -289,6 +289,20 @@ class TestErrorPaths:
             assert captured.out == ""
             assert captured.err == f"error: {path} is not UTF-8 text\n"
 
+    def test_utf8_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        for cmd, text in (
+            ("classify", "1/2 1/2\n1/2 1/2\n"),
+            ("realize-cospectral", "1\n1/2\n-1/2\n"),
+            ("embed", "0.5 0.1\n0.2 0.3\n"),
+        ):
+            plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert run([cmd, str(plain)]) == 0
+            want = capsys.readouterr().out
+            assert run([cmd, str(marked)]) == 0, cmd
+            assert capsys.readouterr().out == want
+
     def test_float_entry_too_large_is_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "huge.mat"
         path.write_text("1" + "0" * 400 + "/1 0\n0 1\n")
@@ -336,6 +350,23 @@ class TestErrorPaths:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
+    def test_exact_result_over_the_digit_limit_is_a_numeric_failure(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("this interpreter has no integer string conversion limit")
+        # each entry is within the limit; the determinant and the squared gap
+        # (about the square of an entry) are not
+        big = "1" + "0" * (limit // 2 + 1)
+        path = tmp_path / "big.mat"
+        path.write_text(f"{big} 0\n0 {big}\n")
+        for argv in (["charpoly", str(path)], ["nearest", "--distance", str(path)]):
+            assert run(argv) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert f" {limit} digits " in captured.err
             assert captured.err.count("\n") == 1
 
     def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):

@@ -361,3 +361,13 @@ def test_record_value_semantics(kind):
         delattr(rec, first)
     for back in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
         assert type(back) is type(rec) and back == rec
+    fields = dict(zip(type(rec).__match_args__, values))
+    assert type(rec)(**fields) == rec
+    # one positional argument too many, an unknown keyword, a missing field
+    for args, kwargs in (
+        ((*values, None), {}),
+        (values, {"bogus": None}),
+        ((), {name: fields[name] for name in list(fields)[1:]}),
+    ):
+        with pytest.raises(TypeError):
+            type(rec)(*args, **kwargs)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 import dstoch
@@ -40,6 +42,14 @@ def test_every_public_name_resolves():
 def test_float_names_come_from_orthogonal():
     for name in FLOAT_NAMES:
         assert getattr(dstoch, name) is getattr(dstoch.orthogonal, name), name
+
+
+def test_lazy_name_table_matches_each_module():
+    # a name added to a lazy module's __all__ must also enter the table
+    for module, names in dstoch._LAZY_MODULES.items():
+        loaded = importlib.import_module(f"dstoch.{module}")
+        exported = {name for name in loaded.__all__ if not name.endswith("_TOL")}
+        assert set(names) == exported, module
 
 
 def test_unknown_name_raises_attribute_error():
