@@ -14,38 +14,9 @@ third-party dependency.
 first access, so that a process imports only the modules it uses.
 """
 
-from .balance import (
-    BalanceReport,
-    balance,
-    balance_minimal,
-    balance_nr,
-    balance_offsets,
-    epsilon_threshold,
-)
-from .core import (
-    RatMatrix,
-    StochClass,
-    Stochasticity,
-    classify,
-    column_stats,
-    format_matrix,
-    frobenius_distance_sq,
-    parse_matrix,
-    parse_scalar,
-    uniform_matrix,
-)
-from .errors import (
-    BasisError,
-    ConjugacyError,
-    DimensionError,
-    DstochError,
-    FormatError,
-    InfeasibleError,
-    MembershipError,
-    NormalizationError,
-    PerronWarning,
-    PreconditionError,
-)
+from .balance import *
+from .core import *
+from .errors import *
 
 __version__ = "0.1.0"
 

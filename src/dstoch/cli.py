@@ -379,6 +379,12 @@ def run(argv: list[str] | None = None) -> int:
     except (DstochError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ModuleNotFoundError as exc:
+        # the float subcommands import numpy; the exact ones run without it
+        if exc.name != "numpy":
+            raise
+        print(f"error: {ns.command} needs numpy, which is not installed", file=sys.stderr)
+        return 3
     except ValueError as exc:
         # str() refuses an int longer than this interpreter's digit limit
         if "integer string conversion" not in str(exc):

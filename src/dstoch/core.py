@@ -320,6 +320,13 @@ def _lcm_denominator(entries: Iterable[Fraction]) -> int:
     return lcm(*(e.denominator for e in entries))
 
 
+def _cleared(rows) -> tuple[int, list[list[int]]]:
+    """The integer form of rows of Fractions: D, the LCM of every
+    denominator, and the rows times D, each entry an int."""
+    d = _lcm_denominator(e for row in rows for e in row)
+    return d, [[e.numerator * (d // e.denominator) for e in row] for row in rows]
+
+
 def frobenius_distance_sq(a: RatMatrix, b: RatMatrix) -> Fraction:
     """Squared Frobenius distance; squared so the value stays rational.
 
@@ -328,16 +335,17 @@ def frobenius_distance_sq(a: RatMatrix, b: RatMatrix) -> Fraction:
     is divided by D^2 once.
     """
     a._require_same_shape(b)
-    d = _lcm_denominator(e for m in (a, b) for row in m.rows for e in row)
+    d, ints = _cleared(a.rows + b.rows)
+    n = a.n_rows
     total = sum(
-        (x.numerator * (d // x.denominator) - y.numerator * (d // y.denominator)) ** 2
-        for r1, r2 in zip(a.rows, b.rows)
-        for x, y in zip(r1, r2)
+        (x - y) ** 2 for r1, r2 in zip(ints[:n], ints[n:]) for x, y in zip(r1, r2)
     )
     return Fraction(total, d * d)
 
 
-_ENTRY_RE = re.compile(r"-?\d+(?:/\d+|\.\d+)?$")
+#: one unsigned number of the text grammar: an integer, p/q or a decimal
+_NUMBER = r"\d+(?:/\d+|\.\d+)?"
+_ENTRY_RE = re.compile(rf"-?{_NUMBER}$")
 
 
 def parse_scalar(token: str) -> Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .balance import _balanced, _columns
-from .core import RatMatrix, _Record, frobenius_distance_sq
+from .core import RatMatrix, _Record
 from .errors import InfeasibleError, PreconditionError
 
 __all__ = [
@@ -106,25 +106,37 @@ def cospectral_ds(a: RatMatrix) -> RatMatrix:
     return _balanced(a, n, r, x, bounds, 0)
 
 
+def _gap(a: RatMatrix) -> tuple[list[Fraction], list[Fraction]]:
+    """The gap A - B* to the projection B*, as p 1^T + 1 q^T.
+
+    With r_i the row sums, x_j the column sums and s the total of a square
+    matrix, p_i = (r_i - s/n)/n and q_j = (x_j - 1)/n; p sums to 0.
+    """
+    n = a.require_square()
+    r = a.row_sums()
+    mean = sum(r) / n
+    return [(r_i - mean) / n for r_i in r], [(x_j - 1) / n for x_j in a.col_sums()]
+
+
 def nearest_ds(a: RatMatrix) -> RatMatrix:
     """Frobenius-nearest matrix with all row and column sums 1.
 
     Defined for any square matrix as (I-J)A(I-J) + J, computed in one O(n^2)
-    pass from the closed form b_ij = a_ij - r_i/n - x_j/n + (s/n + 1)/n, with
-    r_i the row sums, x_j the column sums and s the total.  Entries of the
-    output may be negative; classify() tells whether it is doubly stochastic.
+    pass as b_ij = a_ij - p_i - q_j from the row and column terms of
+    :func:`_gap`.  Entries of the output may be negative; classify() tells
+    whether it is doubly stochastic.
     """
-    n = a.require_square()
-    r = a.row_sums()
-    x = a.col_sums()
-    c = (sum(r) / n + 1) / n
-    u = [c - r_i / n for r_i in r]
-    w = [x_j / n for x_j in x]
+    p, q = _gap(a)
     return RatMatrix(
-        [[e + u_i - w_j for e, w_j in zip(row, w)] for row, u_i in zip(a.rows, u)]
+        [[e - p_i - q_j for e, q_j in zip(row, q)] for row, p_i in zip(a.rows, p)]
     )
 
 
 def nearest_ds_distance_sq(a: RatMatrix) -> Fraction:
-    """Exact squared Frobenius gap between a matrix and its projection."""
-    return frobenius_distance_sq(a, nearest_ds(a))
+    """Exact squared Frobenius gap between a matrix and its projection.
+
+    The gap is p 1^T + 1 q^T with p summing to 0 (:func:`_gap`), so its
+    squared norm is n(|p|^2 + |q|^2), read without building the projection.
+    """
+    p, q = _gap(a)
+    return len(p) * (sum(v * v for v in p) + sum(v * v for v in q))

@@ -18,7 +18,9 @@ from fractions import Fraction
 from numbers import Rational
 from operator import mul
 
-from .core import RatMatrix, _as_fraction, _data_lines, _lcm_denominator, parse_scalar
+from .core import (
+    _NUMBER, RatMatrix, _as_fraction, _cleared, _data_lines, _lcm_denominator, parse_scalar,
+)
 from .errors import (
     ConjugacyError,
     DimensionError,
@@ -144,8 +146,7 @@ def charpoly(a: RatMatrix) -> Poly:
     the coefficient of x^i of A as c_i / D^(n-i).
     """
     n = a.require_square()
-    d = _lcm_denominator(e for row in a.rows for e in row)
-    b = [[e.numerator * (d // e.denominator) for e in row] for row in a.rows]
+    d, b = _cleared(a.rows)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     am = [[0] * n for _ in range(n)]
@@ -170,8 +171,8 @@ def cospectral(a: RatMatrix, b: RatMatrix) -> bool:
 
 
 _COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>-?\d+(?:/\d+|\.\d+)?)"
-    r"(?:\s*(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+|\.\d+)?)\s*[iI])?\s*$"
+    rf"^\s*(?P<re>-?{_NUMBER})"
+    rf"(?:\s*(?P<sign>[+-])\s*(?P<im>{_NUMBER})\s*[iI])?\s*$"
 )
 
 
@@ -317,17 +318,15 @@ def _poly_from_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> Poly:
     Python ints.  q has the roots scaled by D, which gives the coefficient
     of x^i as q_i / D^(deg-i), as in :func:`charpoly`.
     """
-    d = _lcm_denominator(part for entry in entries for part in entry)
+    d, parts = _cleared(entries)
     q = [1]
-    for re_k, im_k in entries:
-        if im_k < 0:
+    for a, b in parts:
+        if b < 0:
             continue
-        a = re_k.numerator * (d // re_k.denominator)
-        if im_k == 0:
+        if b == 0:
             # (x - a) q
             q = [s - a * t for s, t in zip([0, *q], [*q, 0])]
         else:
-            b = im_k.numerator * (d // im_k.denominator)
             c = a * a + b * b
             # (x^2 - 2a x + c) q
             q = [

@@ -151,6 +151,12 @@ def test_criterion_5():
         best = nearest_ds(a)
         assert best.row_sums() == (1,) * n
         assert best.col_sums() == (1,) * n
+        # exact optimality certificate: A - B = u 1^T + 1 v^T, i.e. every
+        # g_ij - g_i0 - g_0j + g_00 of G = A - B is 0, and B has unit sums
+        g = (a - best).rows
+        assert all(
+            g[i][j] - g[i][0] - g[0][j] + g[0][0] == 0 for i in range(n) for j in range(n)
+        )
         assert nearest_ds(best) == best
         lam = Fraction(rng.randint(-2, 3), rng.randint(1, 4))
         other = rand_matrix(rng, n)

@@ -21,15 +21,15 @@ def files(tmp_path):
     paths = {}
     for name, m in [("a", A_UNEVEN), ("z", A_ZEROCOL), ("b", B_PROJ)]:
         p = tmp_path / f"{name}.mat"
-        p.write_text(format_matrix(m) + "\n")
+        p.write_text(format_matrix(m) + "\n", encoding="utf-8")
         paths[name] = str(p)
     spectrum = tmp_path / "s.spectrum"
-    spectrum.write_text("1\n0\n1/4\n")
+    spectrum.write_text("1\n0\n1/4\n", encoding="utf-8")
     paths["spectrum"] = str(spectrum)
     # a rank-one update of diag(2, 1) along its eigenvector e_1, for rado
     for name, text in [("diag", "2 0\n0 1\n"), ("x", "1\n0\n"), ("c", "1/3 -1/5\n")]:
         p = tmp_path / f"{name}.mat"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
     paths["dir"] = tmp_path
     return paths
@@ -104,7 +104,7 @@ class TestConstructions:
         assert run(["check4", files["z"]]) == 0
         assert "holds=true" in capsys.readouterr().out
         bad = tmp_path / "bad.mat"
-        bad.write_text("0 0 1\n0 0 1\n1 0 0\n")
+        bad.write_text("0 0 1\n0 0 1\n1 0 0\n", encoding="utf-8")
         assert run(["check4", str(bad)]) == 1
 
     def test_cospectral_ds(self, files, capsys):
@@ -125,14 +125,14 @@ class TestConstructions:
 class TestFloatCommands:
     def test_embed_extract_round_trip(self, files, capsys, tmp_path):
         x = tmp_path / "x.mat"
-        x.write_text("1/5 3/10\n1/10 9/10\n")
+        x.write_text("1/5 3/10\n1/10 9/10\n", encoding="utf-8")
         assert run(["embed", str(x)]) == 0
         embedded = capsys.readouterr().out
         emb = tmp_path / "emb.mat"
-        emb.write_text(embedded)
+        emb.write_text(embedded, encoding="utf-8")
         assert run(["extract", str(emb)]) == 0
         got = parse_float_matrix(capsys.readouterr().out)
-        want = parse_float_matrix(x.read_text())
+        want = parse_float_matrix(x.read_text(encoding="utf-8"))
         assert got.allclose(want, 1e-9)
 
     def test_realize_report(self, files, capsys):
@@ -150,7 +150,7 @@ class TestFloatCommands:
 
     def test_perron_warning_is_one_line(self, tmp_path, capsys):
         s = tmp_path / "w.spectrum"
-        s.write_text("1\n1/2\n2\n")
+        s.write_text("1\n1/2\n2\n", encoding="utf-8")
         assert run(["realize", str(s)]) == 0
         err = capsys.readouterr().err
         assert err == "warning: entry (2, 0) exceeds the designated dominant entry 1 in modulus\n"
@@ -180,7 +180,7 @@ class TestFloatCommands:
 
     def test_normalize(self, files, capsys, tmp_path):
         m = tmp_path / "m.mat"
-        m.write_text("1 2\n3 6\n")
+        m.write_text("1 2\n3 6\n", encoding="utf-8")
         assert run(["normalize", str(m)]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[-1].startswith("# r = ")
@@ -198,7 +198,7 @@ class TestRoundTripsAndModes:
         assert run(["nearest", files["a"]]) == 0
         once = capsys.readouterr().out
         again = tmp_path / "p.mat"
-        again.write_text(once)
+        again.write_text(once, encoding="utf-8")
         assert run(["nearest", str(again)]) == 0
         assert capsys.readouterr().out == once
         assert parse_matrix(once) == nearest_ds(A_UNEVEN)
@@ -206,7 +206,7 @@ class TestRoundTripsAndModes:
     def test_output_to_file(self, files, tmp_path):
         target = tmp_path / "out.mat"
         assert run(["nearest", files["z"], "-o", str(target)]) == 0
-        assert parse_matrix(target.read_text()) == B_PROJ
+        assert parse_matrix(target.read_text(encoding="utf-8")) == B_PROJ
 
     def test_mode_validation(self, files, capsys):
         assert run(["classify", files["a"], "--mode", "exact"]) == 0
@@ -251,7 +251,7 @@ class TestErrorPaths:
 
     def test_malformed_matrix(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
-        bad.write_text("1 2\n3\n")
+        bad.write_text("1 2\n3\n", encoding="utf-8")
         assert run(["classify", str(bad)]) == 2
 
     def test_precondition_failure(self, files, tmp_path, capsys):
@@ -267,15 +267,15 @@ class TestErrorPaths:
 
     def test_conjugacy_error_is_numeric_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.spectrum"
-        bad.write_text("1\n0+1 i\n")
+        bad.write_text("1\n0+1 i\n", encoding="utf-8")
         assert run(["realize", str(bad)]) == 3
         # 1/3 and 1/3 + 1e-11: close, but not an exact conjugate pair
-        bad.write_text("1\n1/2+1/3 i\n1/2-100000000003/300000000000 i\n")
+        bad.write_text("1\n1/2+1/3 i\n1/2-100000000003/300000000000 i\n", encoding="utf-8")
         assert run(["realize", str(bad)]) == 3
 
     def test_dominant_entry_must_be_exactly_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.spectrum"
-        bad.write_text("1.0000000000001\n0\n")
+        bad.write_text("1.0000000000001\n0\n", encoding="utf-8")
         assert run(["realize-cospectral", str(bad)]) == 3
         assert capsys.readouterr().out == ""
 
@@ -305,7 +305,7 @@ class TestErrorPaths:
 
     def test_float_entry_too_large_is_a_format_error(self, tmp_path, capsys):
         path = tmp_path / "huge.mat"
-        path.write_text("1" + "0" * 400 + "/1 0\n0 1\n")
+        path.write_text("1" + "0" * 400 + "/1 0\n0 1\n", encoding="utf-8")
         for cmd in ("embed", "normalize"):
             assert run([cmd, str(path)]) == 2
             captured = capsys.readouterr()
@@ -315,7 +315,7 @@ class TestErrorPaths:
 
     def test_float_overflow_is_a_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "huge.spectrum"
-        path.write_text("1\n1" + "0" * 400 + "\n")
+        path.write_text("1\n1" + "0" * 400 + "\n", encoding="utf-8")
         for cmd in ("realize", "realize-cospectral"):
             assert run([cmd, str(path)]) == 3
             captured = capsys.readouterr()
@@ -324,7 +324,7 @@ class TestErrorPaths:
             assert errors == ["error: integer division result too large for a float"]
         # entries that fit a float, but whose nonnegative lift does not
         lift = tmp_path / "lift.spectrum"
-        lift.write_text("1\n" + ("1" + "0" * 154 + "\n") * 2)
+        lift.write_text("1\n" + ("1" + "0" * 154 + "\n") * 2, encoding="utf-8")
         assert run(["realize", str(lift)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -338,9 +338,9 @@ class TestErrorPaths:
             pytest.skip("this interpreter has no integer string conversion limit")
         digits = "1" * (limit + 700)
         matrix = tmp_path / "long.mat"
-        matrix.write_text(f"{digits}0 0\n0 1\n")
+        matrix.write_text(f"{digits}0 0\n0 1\n", encoding="utf-8")
         spectrum = tmp_path / "long.spectrum"
-        spectrum.write_text(f"1\n0.{digits}\n")
+        spectrum.write_text(f"1\n0.{digits}\n", encoding="utf-8")
         for argv in (
             ["classify", str(matrix)],
             ["realize", str(spectrum)],
@@ -360,7 +360,7 @@ class TestErrorPaths:
         # (about the square of an entry) are not
         big = "1" + "0" * (limit // 2 + 1)
         path = tmp_path / "big.mat"
-        path.write_text(f"{big} 0\n0 {big}\n")
+        path.write_text(f"{big} 0\n0 {big}\n", encoding="utf-8")
         for argv in (["charpoly", str(path)], ["nearest", "--distance", str(path)]):
             assert run(argv) == 3, argv[0]
             captured = capsys.readouterr()
@@ -371,7 +371,7 @@ class TestErrorPaths:
 
     def test_negative_seed_is_an_argument_error(self, tmp_path, capsys):
         x = tmp_path / "x.mat"
-        x.write_text("1/5 3/10\n1/10 9/10\n")
+        x.write_text("1/5 3/10\n1/10 9/10\n", encoding="utf-8")
         for seed in ("-1", "x"):
             assert run(["embed", str(x), "--basis", "random", "--seed", seed]) == 2
             captured = capsys.readouterr()
@@ -569,12 +569,28 @@ import contextlib, io, json, sys
 import dstoch, dstoch.cli
 assert "numpy" not in sys.modules, "importing dstoch.cli loaded numpy"
 sys.modules["numpy"] = None  # any later `import numpy` raises ImportError
-codes = []
+results = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(dstoch.cli.run(argv))
-print(json.dumps(codes))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([dstoch.cli.run(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
 """
+
+
+def _run_without_numpy(calls):
+    """(exit code, stdout, stderr) of each CLI call, in one process that
+    cannot import numpy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dstoch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, json.dumps(calls)],
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 _LEAN_START_SCRIPT = """
@@ -602,7 +618,7 @@ def test_classify_loads_only_what_it_runs(files):
         [sys.executable, "-S", "-c", _LEAN_START_SCRIPT, files["a"], *_NOT_LOADED_BY_CLASSIFY],
         env=env,
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -628,13 +644,19 @@ def test_exact_subcommands_run_without_numpy(files):
         ["cospectral-ds", z],
         ["nearest", z],
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(dstoch.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_SCRIPT, json.dumps(calls)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0] * len(calls)
+    assert [code for code, _, _ in _run_without_numpy(calls)] == [0] * len(calls)
+
+
+def test_float_subcommands_without_numpy_exit_3(files):
+    b, spectrum = files["b"], files["spectrum"]
+    calls = [
+        ["embed", b],
+        ["extract", b],
+        ["realize", spectrum],
+        ["realize-cospectral", spectrum],
+        ["normalize", b],
+    ]
+    for argv, (code, out, err) in zip(calls, _run_without_numpy(calls)):
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "numpy" in err, argv

@@ -171,6 +171,12 @@ class TestExtract:
         with pytest.raises(MembershipError):
             extract(canonical_basis(2), FloatMatrix([[1, 1], [0, 1]]))
 
+    def test_dimension_check(self):
+        with pytest.raises(DimensionError, match="order-1"):
+            extract(canonical_basis(1), FloatMatrix([[1]]))
+        with pytest.raises(DimensionError, match="3-by-3"):
+            extract(canonical_basis(3), FloatMatrix.identity(2))
+
 
 class TestRealizeCospectral:
     def test_singleton(self):
@@ -191,6 +197,10 @@ class TestRealizeCospectral:
         # within 1e-12 of 1 is still not 1: realizing 1 would drop the entry
         with pytest.raises(PreconditionError):
             realize_cospectral(SpectrumList([Fraction("1.0000000000001"), 0]))
+
+    def test_rejects_basis_of_another_order(self):
+        with pytest.raises(DimensionError, match="basis order 4"):
+            realize_cospectral(SpectrumList([1, Fraction(1, 3), 0]), canonical_basis(4))
 
     def test_block_is_float_companion(self, monkeypatch):
         rng = random.Random(41)

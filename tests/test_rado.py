@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstoch import (
+    DimensionError,
     Poly,
     PreconditionError,
     RadoUpdate,
@@ -61,6 +62,16 @@ class TestRadoUpdate:
         a = diagonal([Fraction(2), Fraction(1)])
         with pytest.raises(PreconditionError, match="zero"):
             RadoUpdate(a, RatMatrix([[0], [0]]), RatMatrix.zeros(1, 2), [2])
+
+    def test_rejects_wrong_shapes(self):
+        a = diagonal([Fraction(2), Fraction(1)])
+        e1 = RatMatrix([[1], [0]])
+        with pytest.raises(DimensionError, match="eigenvector block"):
+            RadoUpdate(a, RatMatrix([[1], [0], [0]]), RatMatrix.zeros(1, 2), [2])
+        with pytest.raises(DimensionError, match="update block"):
+            RadoUpdate(a, e1, RatMatrix.zeros(1, 3), [2])
+        with pytest.raises(DimensionError, match="eigenvalues"):
+            RadoUpdate(a, e1, RatMatrix.zeros(1, 2), [2, 1])
 
     def test_charpoly_identity_on_random_systems(self):
         rng = random.Random(101)

@@ -378,6 +378,12 @@ class TestSpectrumList:
             with pytest.raises(ConjugacyError):
                 SpectrumList(entries)
 
+    def test_rejects_empty_and_binary_complex(self):
+        with pytest.raises(PreconditionError, match="at least one"):
+            SpectrumList([])
+        with pytest.raises(TypeError, match="complex"):
+            SpectrumList([1, 0.5j, -0.5j])
+
     def test_rest_drops_designated_entry(self):
         s = SpectrumList([1, Fraction(1, 3), 0])
         assert s.perron == (1, 0)
