@@ -27,7 +27,7 @@ from .errors import (
     NormalizationError,
     PreconditionError,
 )
-from .spectra import SpectrumList, _poly_from_closed
+from .spectra import SpectrumList, poly_from_spectrum
 
 # numpy loads after dstoch.spectra: without a bytecode cache, compiling spectra
 # while numpy is in memory would add to a float subcommand's peak memory
@@ -281,9 +281,6 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
 
     The non-dominant entries go through the companion matrix of their
     polynomial, embedded via the canonical basis unless another is supplied.
-    The polynomial comes from ``spectra._poly_from_closed`` without a second
-    closure check: ``SpectrumList`` checked closure on construction, and the
-    dominant entry taken out is exactly (1, 0).
     The float block is built from the polynomial's coefficients: ones on the
     superdiagonal and last row float(-c_j), the same floats as the entries
     of ``spectra.companion`` (float(-c), not -float(c), so that a zero
@@ -300,7 +297,7 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
         return FloatMatrix([[1.0]])
     k = n - 1
     block = np.eye(k, k, 1)
-    block[-1] = [float(-c) for c in _poly_from_closed(s.rest()).coefficients[:k]]
+    block[-1] = [float(-c) for c in poly_from_spectrum(s.rest()).coefficients[:k]]
     return embed(basis, FloatMatrix(block))
 
 

@@ -198,17 +198,22 @@ def _coerce_entry(value) -> tuple[Fraction, Fraction]:
     return _as_fraction(value), Fraction(0)
 
 
-def _require_conjugate_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> None:
+def _require_conjugate_closed(
+    entries: Sequence[tuple[Fraction, Fraction]],
+) -> tuple[int, list[list[int]]]:
     """Reject a multiset in which some (re, im) occurs a different number of
-    times than its exact conjugate (re, -im)."""
-    counts = Counter(entries)
-    for (re_k, im_k), count in counts.items():
-        partner = counts[re_k, -im_k]
+    times than its exact conjugate (re, -im).  Counts, and returns, the
+    integer form (D, [D*re, D*im] pairs), D the LCM of every denominator."""
+    d, parts = _cleared(entries)
+    counts = Counter(map(tuple, parts))
+    for (a, b), count in counts.items():
+        partner = counts[a, -b]
         if partner != count:
             raise ConjugacyError(
-                f"entry ({re_k}, {im_k}) occurs {count} times but its conjugate "
-                f"{partner} times"
+                f"entry ({Fraction(a, d)}, {Fraction(b, d)}) occurs {count} times "
+                f"but its conjugate {partner} times"
             )
+    return d, parts
 
 
 class SpectrumList:
@@ -291,34 +296,19 @@ def poly_from_spectrum(spectrum) -> Poly:
     The entries must be exactly closed under conjugation.  Each entry with
     positive imaginary part and its conjugate enter as one real quadratic,
     so the result is real by construction and exact.
-    Accepts a SpectrumList or any iterable of (re, im) pairs / rationals;
-    coerces and checks them, then builds the product in
-    :func:`_poly_from_closed`.
+    Accepts a SpectrumList or any iterable of (re, im) pairs / rationals.
+
+    With D the LCM of every real and imaginary denominator, the roots D*re
+    + D*im i have integer parts a and b, the form closure is checked in.
+    Each factor x - a or x^2 - 2a x + a^2 + b^2 is an int list and their
+    product q runs over Python ints.  q has the roots scaled by D, which
+    gives the coefficient of x^i as q_i / D^(deg-i), as in :func:`charpoly`.
     """
     if isinstance(spectrum, SpectrumList):
         entries = spectrum.entries
     else:
         entries = tuple(_coerce_entry(e) for e in spectrum)
-    _require_conjugate_closed(entries)
-    return _poly_from_closed(entries)
-
-
-def _poly_from_closed(entries: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """The int kernel of :func:`poly_from_spectrum`, which trusts its input.
-
-    ``entries`` must be (Fraction, Fraction) pairs exactly closed under
-    conjugation, such as ``SpectrumList.rest()``.  Nothing is checked: an
-    entry with negative imaginary part is skipped as the partner of one with
-    positive imaginary part, so an unpaired entry gives a wrong polynomial,
-    not an error.
-
-    With D the LCM of every real and imaginary denominator, the roots D*re
-    + D*im i have integer parts a and b, so each factor x - a or
-    x^2 - 2a x + a^2 + b^2 is an int list and their product q runs over
-    Python ints.  q has the roots scaled by D, which gives the coefficient
-    of x^i as q_i / D^(deg-i), as in :func:`charpoly`.
-    """
-    d, parts = _cleared(entries)
+    d, parts = _require_conjugate_closed(entries)
     q = [1]
     for a, b in parts:
         if b < 0:

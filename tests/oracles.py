@@ -299,19 +299,24 @@ def threshold_by_inequality_scan(a: RatMatrix) -> tuple[Fraction, Fraction]:
 
 
 def rand_unit_sums(rng: random.Random, n: int, moves: int = 4) -> RatMatrix:
-    """Uniform matrix plus elementary zero-row/col-sum perturbations."""
-    rows = [[Fraction(1, n)] * n for _ in range(n)]
+    """Uniform matrix plus elementary zero-row/col-sum perturbations.
+
+    Built over ints with D = 6n: 1/n is 6/D and each perturbation z = p/q
+    with q <= 3 is p*(D/q)/D."""
+    unit = Fraction(1, n)
     if n == 1:
-        return RatMatrix(rows)
+        return RatMatrix([[unit]])
+    d = 6 * n
+    rows = [[6] * n for _ in range(n)]
     for _ in range(moves):
         i, k = rng.sample(range(n), 2)
         j, l = rng.sample(range(n), 2)
-        z = rand_fraction(rng, -2, 2, 3)
+        z = rng.randint(-2, 2) * (d // rng.randint(1, 3))
         rows[i][j] += z
         rows[i][l] -= z
         rows[k][j] -= z
         rows[k][l] += z
-    return RatMatrix(rows)
+    return RatMatrix([[unit if v == 6 else Fraction(v, d) for v in row] for row in rows])
 
 
 def rand_unit_disk_spectrum(rng: random.Random, n: int) -> list[tuple[Fraction, Fraction]]:

@@ -231,9 +231,9 @@ class TestRealizeCospectral:
             b = realize_cospectral(s, random_basis(n, seed))
             assert all(abs(v - 1) <= MEMBERSHIP_TOL for v in b.row_sums() + b.col_sums())
 
-    def test_realize_skips_the_closure_recheck(self, monkeypatch):
-        # SpectrumList checked closure on construction; realizing it again
-        # must not, while the public poly_from_spectrum still does
+    def test_every_polynomial_path_checks_closure_once(self, monkeypatch):
+        # realizing a spectrum builds its polynomial through the checked
+        # poly_from_spectrum, so each path runs the closure rule exactly once
         s = SpectrumList([1, Fraction(1, 2), (0, Fraction(1, 3)), (0, Fraction(-1, 3))])
         calls = []
         real = spectra._require_conjugate_closed
@@ -243,12 +243,15 @@ class TestRealizeCospectral:
             return real(entries)
 
         monkeypatch.setattr(spectra, "_require_conjugate_closed", counted)
-        realize_cospectral(s)
-        realize_cospectral(s, random_basis(s.size, seed=3))
-        realize_nonneg(s)
-        assert len(calls) == 0
-        poly_from_spectrum(s.rest())
-        assert len(calls) == 1
+        for run in (
+            lambda: realize_cospectral(s),
+            lambda: realize_cospectral(s, random_basis(s.size, seed=3)),
+            lambda: realize_nonneg(s),
+            lambda: poly_from_spectrum(s.rest()),
+        ):
+            calls.clear()
+            run()
+            assert calls == [s.rest()]
 
     def test_conjugacy_error_at_construction(self):
         with pytest.raises(ConjugacyError):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -191,6 +192,23 @@ NOT_CONJUGATE_CLOSED = [
     [(0, 1), (0, 1), (0, -1)],
 ]
 
+#: unclosed lists with fractional entries and the exact ConjugacyError text,
+#: whose fractions are rebuilt from the cleared integer form
+CONJUGACY_MESSAGES = [
+    (
+        [1, (Fraction(1, 3), Fraction(1, 2))],
+        "entry (1/3, 1/2) occurs 1 times but its conjugate 0 times",
+    ),
+    (
+        [(Fraction(1, 4), Fraction(2, 3))] * 2 + [(Fraction(1, 4), Fraction(-2, 3))],
+        "entry (1/4, 2/3) occurs 2 times but its conjugate 1 times",
+    ),
+    (
+        [(Fraction(2, 7), Fraction(-5, 9)), 1],
+        "entry (2/7, -5/9) occurs 1 times but its conjugate 0 times",
+    ),
+]
+
 
 class TestPolyFromSpectrum:
     def test_rational_spectrum(self):
@@ -208,6 +226,9 @@ class TestPolyFromSpectrum:
             poly_from_spectrum([(1, 0), (0, 1)])
         for entries in NOT_CONJUGATE_CLOSED:
             with pytest.raises(ConjugacyError):
+                poly_from_spectrum(entries)
+        for entries, message in CONJUGACY_MESSAGES:
+            with pytest.raises(ConjugacyError, match=re.escape(message)):
                 poly_from_spectrum(entries)
 
     def test_equals_fraction_product(self):
@@ -376,6 +397,9 @@ class TestSpectrumList:
             SpectrumList([(1, 0), (0, 1)])
         for entries in NOT_CONJUGATE_CLOSED:
             with pytest.raises(ConjugacyError):
+                SpectrumList(entries)
+        for entries, message in CONJUGACY_MESSAGES:
+            with pytest.raises(ConjugacyError, match=re.escape(message)):
                 SpectrumList(entries)
 
     def test_rejects_empty_and_binary_complex(self):
