@@ -58,9 +58,10 @@ def _columns(a: RatMatrix):
 
 def _balanced(a: RatMatrix, n, r, x, bounds, eps: Fraction) -> RatMatrix:
     """Entries a_ij + (r + eps - x_j)/n; shifts below the threshold are rejected."""
-    threshold = max(bounds) - r
+    top = max(bounds)
+    threshold = top - r
     if eps < threshold:
-        worst = bounds.index(max(bounds)) + 1
+        worst = bounds.index(top) + 1
         raise InfeasibleError(
             f"shift {eps} is below the nonnegativity threshold {threshold} "
             f"(column {worst} is binding)",
@@ -166,7 +167,8 @@ def balance_minimal(a: RatMatrix) -> BalanceReport:
     """The balanced family at its threshold, with both parameterizations."""
     n, r, x, mins, bounds = _columns(a)
     m, eps_min, y_min = _thresholds(n, r, x, bounds)
-    tight = frozenset(j + 1 for j in range(n) if bounds[j] == max(bounds))
+    top = max(bounds)
+    tight = frozenset(j + 1 for j, bound in enumerate(bounds) if bound == top)
     b_min = _balanced(a, n, r, x, bounds, eps_min)
     return BalanceReport(r, x, mins, m + 1, y_min, eps_min, b_min, tight)
 

@@ -289,14 +289,14 @@ _COMMANDS = [
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, built in full only where it will parse.
+    """The parser of the subcommand ``argv[0]`` names, or of every subcommand.
 
-    Every ``_COMMANDS`` row registers its name and help line, so ``--help``
-    and the usage lines list all subcommands.  When ``argv[0]`` names a
-    subcommand, only that row also gets its arguments; otherwise every row
-    does.
+    When ``argv[0]`` names a subcommand, its parser is the only one built,
+    and the top-level usage line still lists every name.  Otherwise (no
+    argument, ``--help``, an unknown name) every ``_COMMANDS`` row is built.
     """
-    named = argv[0] if argv and argv[0] in {row[0] for row in _COMMANDS} else None
+    names = [row[0] for row in _COMMANDS]
+    named = argv[0] if argv and argv[0] in names else None
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", "-o", help="write the result to a file")
     common.add_argument("--json", action="store_true", help="emit reports as JSON")
@@ -311,10 +311,10 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         description="Exact constructions relating stochastic and doubly "
         "stochastic matrix spectra.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if named is None else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, handler, help_text, mode, positionals, options in _COMMANDS:
         if named not in (None, name):
-            sub.add_parser(name, help=help_text)
             continue
         p = sub.add_parser(name, help=help_text, parents=[common])
         for arg, arg_help in positionals:

@@ -411,11 +411,11 @@ def similar_to_unit_sums(a: RatMatrix) -> bool:
     Requires 1 to be an eigenvalue (exactly); rescale beforehand otherwise.
     """
     n = a.require_square()
-    ident = RatMatrix.identity(n)
-    right = nullspace(a - ident)
+    shifted = a - RatMatrix.identity(n)
+    right = nullspace(shifted)
     if not right:
         raise PreconditionError("1 must be an eigenvalue of the matrix")
-    left = nullspace(a.transpose() - ident)
+    left = nullspace(shifted.transpose())
     return any(
         sum(x * y for x, y in zip(lv, rv)) != 0 for lv in left for rv in right
     )

@@ -564,6 +564,24 @@ def test_argument_surface():
     assert list(surface) == list(_SURFACE)
 
 
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_named_subcommand_builds_only_its_parser():
+    full = build_parser()
+    every = _subparsers(full)
+    for argv in (None, [], ["--help"], ["nosuch"]):
+        assert list(_subparsers(build_parser(argv))) == list(_SURFACE)
+    for name in _SURFACE:
+        parser = build_parser([name])
+        # the usage line an argument error prints still lists every name
+        assert parser.format_usage() == full.format_usage()
+        assert _subparsers(parser)[name].format_help() == every[name].format_help()
+        assert list(_subparsers(parser)) == [name]
+
+
 _NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import dstoch, dstoch.cli

@@ -1,9 +1,11 @@
 import copy
+import operator
 import pickle
 import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,13 @@ class TestRatMatrix:
         assert a.trace() == 5
         assert a.row_sums() == (3, 7)
         assert a.col_sums() == (4, 6)
+        assert -a == RatMatrix([[-1, -2], [-3, -4]])
+        assert list(a) == [(1, 2), (3, 4)]
+        assert a.is_square and not RatMatrix([[1, 2]]).is_square
+        # an operand of another type is not a matrix or a scalar
+        for op in (operator.add, operator.sub, operator.mul, operator.matmul):
+            with pytest.raises(TypeError):
+                op(a, None)
 
     def test_matmul_shape_check(self):
         with pytest.raises(DimensionError):
@@ -181,6 +190,9 @@ class TestClassify:
     def test_nonnegative_only_and_general(self):
         assert classify(RatMatrix([[1, 0], [1, 1]])).tag is Stochasticity.NONNEGATIVE_ONLY
         assert classify(RatMatrix([[1, 0], [-1, 1]])).tag is Stochasticity.GENERAL
+        # a tag without a row sum prints alone
+        assert str(StochClass(Stochasticity.NONNEGATIVE_ONLY)) == "NONNEGATIVE_ONLY"
+        assert str(StochClass(Stochasticity.GENERAL)) == "GENERAL"
 
     def test_rescaled_rows_report_r(self):
         rng = random.Random(7)
@@ -295,6 +307,12 @@ class TestFloatMatrix:
         arr = m.to_numpy()
         arr[0, 0] = 99.0
         assert m[0, 0] == 1.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError):
+            FloatMatrix([])
+        with pytest.raises(DimensionError):
+            FloatMatrix(np.empty((0, 0)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -65,6 +66,7 @@ class TestPoly:
         assert Poly([1, 2, 0, 0]) == Poly([1, 2])
         assert Poly([0, 0]).is_zero
         assert Poly([]).is_zero
+        assert hash(Poly([1, 2, 0, 0])) == hash(Poly([1, 2]))
 
     def test_arithmetic(self):
         p = Poly([1, 1])  # 1 + x
@@ -73,6 +75,10 @@ class TestPoly:
         assert p + q == Poly([0, 2])
         assert p - p == Poly([0])
         assert 2 * p == Poly([2, 2])
+        # an operand of another type is not a polynomial or a scalar
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, None)
 
     def test_evaluation(self):
         p = Poly([Fraction(1, 4), Fraction(-5, 4), 1])
@@ -412,6 +418,12 @@ class TestSpectrumList:
         s = SpectrumList([1, Fraction(1, 3), 0])
         assert s.perron == (1, 0)
         assert s.rest() == ((Fraction(1, 3), 0), (0, 0))
+        assert s == SpectrumList([1, Fraction(1, 3), 0])
+        assert s != SpectrumList([1, 0, Fraction(1, 3)]) and s != s.entries
+        assert repr(s) == (
+            "SpectrumList(((Fraction(1, 1), Fraction(0, 1)), "
+            "(Fraction(1, 3), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1))))"
+        )
 
     def test_dominance_warning(self):
         with pytest.warns(PerronWarning):
