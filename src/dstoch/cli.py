@@ -383,7 +383,7 @@ def run(argv: list[str] | None = None) -> int:
         # the float subcommands import numpy; the exact ones run without it
         if exc.name != "numpy":
             raise
-        print(f"error: {ns.command} needs numpy, which is not installed", file=sys.stderr)
+        print(f"error: {ns.command} needs numpy (pip install 'dstoch[float]')", file=sys.stderr)
         return 3
     except ValueError as exc:
         # str() refuses an int longer than this interpreter's digit limit

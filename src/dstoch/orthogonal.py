@@ -4,10 +4,10 @@ Conjugating 1 (+) X by an orthogonal matrix whose first column is the
 normalized all-ones vector produces a matrix with all row and column sums 1
 and spectrum {1} union spectrum(X); the inverse direction recovers X.  Built
 on that: realize any conjugate-closed spectrum with dominant entry 1 as such
-a matrix via a companion block, and lift it to a nonnegative matrix by a
-uniform shift.  Alongside: the float matrix type and its text format, the
-Faddeev-LeVerrier recurrence over floats, and the diagonal similarity of a
-nonnegative matrix onto constant row sums.
+a matrix via a real normal block (a real Schur form), and lift it to a
+nonnegative matrix by a uniform shift.  Alongside: the float matrix type and
+its text format, the Faddeev-LeVerrier recurrence over floats, and the
+diagonal similarity of a nonnegative matrix onto constant row sums.
 
 This is the only module that imports numpy; the exact modules never load it.
 Tolerances are fixed module constants.
@@ -27,7 +27,7 @@ from .errors import (
     NormalizationError,
     PreconditionError,
 )
-from .spectra import SpectrumList, poly_from_spectrum
+from .spectra import SpectrumList
 
 # numpy loads after dstoch.spectra: without a bytecode cache, compiling spectra
 # while numpy is in memory would add to a float subcommand's peak memory
@@ -237,7 +237,8 @@ def random_basis(n: int, seed: int) -> OrthoBasis:
 
 def embed(basis: OrthoBasis, x: FloatMatrix) -> FloatMatrix:
     """U (1 (+) X) U^T: a matrix with unit row/column sums and spectrum
-    {1} union spectrum(X)."""
+    {1} union spectrum(X).  A product beyond the float range raises
+    OverflowError."""
     n = basis.n
     if x.shape != (n - 1, n - 1):
         raise DimensionError(
@@ -247,7 +248,12 @@ def embed(basis: OrthoBasis, x: FloatMatrix) -> FloatMatrix:
     block = np.zeros((n, n))
     block[0, 0] = 1.0
     block[1:, 1:] = x.to_numpy()
-    return FloatMatrix(u @ block @ u.T)
+    # a non-finite product is reported once, by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = u @ block @ u.T
+    if not np.all(np.isfinite(m)):
+        raise OverflowError("the embedding leaves the float range")
+    return FloatMatrix(m)
 
 
 def extract(basis: OrthoBasis, a: FloatMatrix) -> FloatMatrix:
@@ -279,12 +285,16 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
     """Matrix with unit row/column sums realizing a spectrum whose dominant
     entry is 1.
 
-    The non-dominant entries go through the companion matrix of their
-    polynomial, embedded via the canonical basis unless another is supplied.
-    The float block is built from the polynomial's coefficients: ones on the
-    superdiagonal and last row float(-c_j), the same floats as the entries
-    of ``spectra.companion`` (float(-c), not -float(c), so that a zero
-    coefficient stays +0.0).
+    The non-dominant entries go into an (n-1)-by-(n-1) float block, embedded
+    via the canonical basis unless another is supplied.  The block is the
+    real normal form of ``s.rest()``: first its real entries on the
+    diagonal, in ``rest()`` order, then for each entry a + b i with b > 0,
+    in order, the 2-by-2 block [[a, b], [-b, a]] (a real Schur form; Golub
+    and Van Loan, *Matrix Computations*, 7.4).  Its eigenvalues are its
+    entries to within float rounding, and no polynomial is built.  The
+    paper's companion block is ``embed(basis,
+    FloatMatrix(spectra.companion(poly_from_spectrum(s.rest())).rows))``;
+    with a root of multiplicity m its eigenvalues move by about eps^(1/m).
     """
     if s.perron != (1, 0):
         raise PreconditionError("designated dominant entry must equal 1")
@@ -295,10 +305,22 @@ def realize_cospectral(s: SpectrumList, basis: OrthoBasis | None = None) -> Floa
         raise DimensionError(f"basis order {basis.n} does not match spectrum size {n}")
     if n == 1:
         return FloatMatrix([[1.0]])
-    k = n - 1
-    block = np.eye(k, k, 1)
-    block[-1] = [float(-c) for c in poly_from_spectrum(s.rest()).coefficients[:k]]
-    return embed(basis, FloatMatrix(block))
+    x = np.zeros((n - 1, n - 1))
+    i = 0
+    for re, im in s.rest():
+        if not im:
+            x[i, i] = float(re)
+            i += 1
+    # SpectrumList checked conjugate closure, so each im < 0 entry is the
+    # partner of an im > 0 one and is skipped
+    for re, im in s.rest():
+        if im > 0:
+            a, b = float(re), float(im)
+            x[i, i] = x[i + 1, i + 1] = a
+            x[i, i + 1] = b
+            x[i + 1, i] = -b
+            i += 2
+    return embed(basis, FloatMatrix(x))
 
 
 def realize_nonneg(

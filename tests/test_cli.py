@@ -140,10 +140,12 @@ class TestFloatCommands:
         out = capsys.readouterr().out.strip().splitlines()
         report = json.loads(out[-1].lstrip("# "))
         assert set(report) == {"k", "abs_min_entry", "row_sum", "charpoly_residual", "eig_err"}
-        assert abs(report["k"] - 0.70753175473054816) < 1e-12
+        # the normal block diag(0, 1/4) embeds to a nonnegative matrix; the
+        # companion block's 0.7075... is pinned in test_orthogonal
+        assert report["k"] == 0.0
         assert abs(report["row_sum"] - (1 + report["k"])) < 1e-9
         assert report["charpoly_residual"] < 1e-9
-        assert report["eig_err"] < 1e-9
+        assert report["eig_err"] <= 1e-12
         # matrix plus trailing comment still parses as the matrix
         m = parse_float_matrix("\n".join(out))
         assert m.n_rows == 3
@@ -324,13 +326,27 @@ class TestErrorPaths:
             assert errors == ["error: integer division result too large for a float"]
         # entries that fit a float, but whose nonnegative lift does not
         lift = tmp_path / "lift.spectrum"
-        lift.write_text("1\n" + ("1" + "0" * 154 + "\n") * 2, encoding="utf-8")
+        lift.write_text("1\n" + ("-17" + "0" * 307 + "\n") * 2, encoding="utf-8")
         assert run(["realize", str(lift)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert errors == ["error: the nonnegative lift leaves the float range"]
         assert run(["realize-cospectral", str(lift)]) == 0
+
+    def test_embedding_beyond_float_range_is_a_numeric_failure(self, tmp_path, capsys):
+        block = tmp_path / "huge.mat"
+        block.write_text("1.7e308 1.7e308\n1.7e308 1.7e308\n", encoding="utf-8")
+        big = "17" + "0" * 307
+        spectrum = tmp_path / "huge.spectrum"
+        spectrum.write_text(f"1\n{big}+{big}i\n{big}-{big}i\n", encoding="utf-8")
+        for argv in (["embed", str(block)], ["realize", str(spectrum)],
+                     ["realize-cospectral", str(spectrum)]):
+            assert run(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert errors == ["error: the embedding leaves the float range"], argv
 
     def test_over_long_integer_is_a_format_error(self, tmp_path, files, capsys):
         limit = sys.get_int_max_str_digits()
@@ -678,3 +694,4 @@ def test_float_subcommands_without_numpy_exit_3(files):
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "numpy" in err, argv
+        assert err == f"error: {argv[0]} needs numpy (pip install 'dstoch[float]')\n"

@@ -36,6 +36,13 @@ def max_abs_diff(a: FloatMatrix, b: FloatMatrix) -> float:
     return float(np.abs(a.to_numpy() - b.to_numpy()).max())
 
 
+def companion_realization(s: SpectrumList, basis: OrthoBasis | None = None) -> FloatMatrix:
+    # the paper's construction: the companion block of the non-dominant
+    # entries' polynomial, embedded
+    block = FloatMatrix(companion(poly_from_spectrum(s.rest())).rows)
+    return embed(basis or canonical_basis(s.size), block)
+
+
 def rand_float_matrix(rng: random.Random, n: int) -> FloatMatrix:
     return FloatMatrix([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
 
@@ -137,6 +144,10 @@ class TestEmbed:
         with pytest.raises(DimensionError):
             embed(canonical_basis(3), FloatMatrix.identity(3))
 
+    def test_product_beyond_float_range_overflows(self):
+        with pytest.raises(OverflowError, match="the embedding leaves the float range"):
+            embed(canonical_basis(3), FloatMatrix([[1.7e308, 1.7e308], [1.7e308, 1.7e308]]))
+
 
 class TestExtract:
     def test_uniform_gives_zero_block(self):
@@ -202,26 +213,89 @@ class TestRealizeCospectral:
         with pytest.raises(DimensionError, match="basis order 4"):
             realize_cospectral(SpectrumList([1, Fraction(1, 3), 0]), canonical_basis(4))
 
-    def test_block_is_float_companion(self, monkeypatch):
+    def test_block_is_float_companion(self):
+        # the paper's companion block, as floats, is ones on the superdiagonal
+        # and last row float(-c_j), and it embeds and extracts back unchanged
         rng = random.Random(41)
         spectra = [rand_unit_disk_spectrum(rng, n) for n in (2, 3, 5, 8, 12, 20)]
         # zero roots give zero coefficients, which must stay +0.0
         spectra += [[1, 0], [1, 0, Fraction(-1, 2)], [1, (0, Fraction(1, 2)), (0, Fraction(-1, 2))]]
         spectra += [entries + [0, 0] for entries in spectra[:4]]
+        for entries in spectra:
+            s = SpectrumList(entries)
+            k = s.size - 1
+            want = np.eye(k, k, 1)
+            want[-1] = [float(-c) for c in poly_from_spectrum(s.rest()).coefficients[:k]]
+            block = FloatMatrix(companion(poly_from_spectrum(s.rest())).rows)
+            assert block.to_numpy().tobytes() == want.tobytes()
+            for basis in (canonical_basis(s.size), random_basis(s.size, seed=s.size)):
+                got = companion_realization(s, basis)
+                assert got.to_numpy().tobytes() == embed(basis, block).to_numpy().tobytes()
+                assert extract(basis, got).allclose(block, 1e-9)
+
+    def test_normal_block_order(self, monkeypatch):
+        # real entries on the diagonal in rest() order, then one 2x2 block
+        # per entry with im > 0, in order; the im < 0 partners are skipped
+        s = SpectrumList([
+            1, (Fraction(1, 2), Fraction(1, 3)), Fraction(1, 4), (Fraction(1, 2), Fraction(-1, 3)),
+            Fraction(-1, 2), (0, Fraction(-1, 5)), (0, Fraction(1, 5)),
+        ])
+        want = np.zeros((6, 6))
+        want[:2, :2] = np.diag([1 / 4, -1 / 2])
+        want[2:4, 2:4] = [[1 / 2, 1 / 3], [-1 / 3, 1 / 2]]
+        want[4:, 4:] = [[0, 1 / 5], [-1 / 5, 0]]
         blocks = []
 
         def recording_embed(basis, x):
-            blocks.append(x.to_numpy().tobytes())
+            blocks.append(x.to_numpy())
             return embed(basis, x)
 
         monkeypatch.setattr(orthogonal, "embed", recording_embed)
-        for entries in spectra:
-            s = SpectrumList(entries)
-            block = FloatMatrix(companion(poly_from_spectrum(s.rest())).rows)
-            for basis in (canonical_basis(s.size), random_basis(s.size, seed=s.size)):
-                got = realize_cospectral(s, basis).to_numpy().tobytes()
-                assert blocks.pop() == block.to_numpy().tobytes()
-                assert got == embed(basis, block).to_numpy().tobytes()
+        for basis in (canonical_basis(7), random_basis(7, seed=7)):
+            got = realize_cospectral(s, basis).to_numpy().tobytes()
+            assert blocks.pop().tobytes() == want.tobytes()
+            assert got == embed(basis, FloatMatrix(want)).to_numpy().tobytes()
+
+    def test_normal_block_builds_no_polynomial(self, monkeypatch):
+        s = SpectrumList([1, Fraction(1, 2), (0, Fraction(1, 3)), (0, Fraction(-1, 3))])
+        calls = []
+        real = spectra.poly_from_spectrum
+
+        def counted(entries):
+            calls.append(entries)
+            return real(entries)
+
+        monkeypatch.setattr(spectra, "poly_from_spectrum", counted)
+        realize_cospectral(s)
+        realize_cospectral(s, random_basis(s.size, seed=3))
+        realize_nonneg(s)
+        assert calls == []
+        # a binding of its own in orthogonal would escape the patch above
+        assert not hasattr(orthogonal, "poly_from_spectrum")
+
+    @pytest.mark.parametrize("n", [10, 20, 40, 80])
+    def test_normal_block_keeps_its_spectrum(self, n):
+        # the orders the float_realize benchmark runs; the companion block
+        # misses these spectra by up to 0.6 at n = 80
+        rng = random.Random(n)
+        for seed in range(3):
+            s = SpectrumList(rand_unit_disk_spectrum(rng, n))
+            want = [float(c) for c in poly_from_spectrum(s.rest()).coefficients]
+            for basis in (canonical_basis(n), random_basis(n, seed)):
+                b = realize_cospectral(s, basis)
+                assert orthogonal._matched_eig_err(b, s.entries) <= 1e-12
+                got = charpoly_float(extract(basis, b))
+                assert max(abs(p - q) for p, q in zip(got, want)) <= SPECTRAL_TOL
+
+    def test_root_of_multiplicity_six(self):
+        # a companion matrix with a root of multiplicity m is a Jordan
+        # block, and its eigenvalues move by about eps^(1/m): 2.5e-3 here
+        s = SpectrumList([1] + [Fraction(1, 2)] * 6 + [(Fraction(-1, 4), Fraction(1, 3)),
+                                                      (Fraction(-1, 4), Fraction(-1, 3))])
+        for basis in (canonical_basis(9), random_basis(9, seed=5)):
+            assert orthogonal._matched_eig_err(realize_cospectral(s, basis), s.entries) <= 1e-12
+            companion_err = orthogonal._matched_eig_err(companion_realization(s, basis), s.entries)
+            assert companion_err > 1e-6
 
     @pytest.mark.parametrize("n", [40, 80])
     def test_unit_sums_with_random_basis_at_large_order(self, n):
@@ -232,8 +306,10 @@ class TestRealizeCospectral:
             assert all(abs(v - 1) <= MEMBERSHIP_TOL for v in b.row_sums() + b.col_sums())
 
     def test_every_polynomial_path_checks_closure_once(self, monkeypatch):
-        # realizing a spectrum builds its polynomial through the checked
-        # poly_from_spectrum, so each path runs the closure rule exactly once
+        # the companion construction builds its polynomial through the checked
+        # poly_from_spectrum, so it runs the closure rule exactly once; the
+        # normal block builds no polynomial and relies on the check
+        # SpectrumList made, so it runs the rule no further time
         s = SpectrumList([1, Fraction(1, 2), (0, Fraction(1, 3)), (0, Fraction(-1, 3))])
         calls = []
         real = spectra._require_conjugate_closed
@@ -244,14 +320,21 @@ class TestRealizeCospectral:
 
         monkeypatch.setattr(spectra, "_require_conjugate_closed", counted)
         for run in (
-            lambda: realize_cospectral(s),
-            lambda: realize_cospectral(s, random_basis(s.size, seed=3)),
-            lambda: realize_nonneg(s),
+            lambda: companion_realization(s),
+            lambda: companion_realization(s, random_basis(s.size, seed=3)),
             lambda: poly_from_spectrum(s.rest()),
         ):
             calls.clear()
             run()
             assert calls == [s.rest()]
+        for run in (
+            lambda: realize_cospectral(s),
+            lambda: realize_cospectral(s, random_basis(s.size, seed=3)),
+            lambda: realize_nonneg(s),
+        ):
+            calls.clear()
+            run()
+            assert calls == []
 
     def test_conjugacy_error_at_construction(self):
         with pytest.raises(ConjugacyError):
@@ -273,13 +356,28 @@ class TestRealizeNonneg:
         assert max_abs_diff(b, FloatMatrix([[0, 1], [1, 0]])) <= 1e-12
 
     def test_frozen_regression_value(self):
-        k, b = realize_nonneg(SpectrumList([1, 0, Fraction(1, 4)]))
+        # the companion construction of [1, 0, 1/4], lifted
+        k, b = orthogonal._lift(companion_realization(SpectrumList([1, 0, Fraction(1, 4)])))
         assert abs(k - 0.70753175473054816) <= 1e-12
         assert b.min_entry() >= -1e-10
         assert all(abs(s - (1 + k)) <= 1e-9 for s in b.row_sums() + b.col_sums())
         # non-dominant part of the spectrum is untouched: factor x(x - 1/4)
         got = charpoly_float(b)
         want = [float(c) for c in poly_from_spectrum([(Fraction(1 + k), 0), (0, 0), (Fraction(1, 4), 0)]).coefficients]
+        assert all(abs(p - q) <= SPECTRAL_TOL for p, q in zip(got, want))
+
+    def test_frozen_regression_value_normal_block(self):
+        # the normal block diag(0, 1/4) embeds to a nonnegative matrix, so no
+        # shift is needed; the companion block of x(x - 1/4) needs 0.7075...
+        # (test_frozen_regression_value)
+        s = SpectrumList([1, 0, Fraction(1, 4)])
+        k, b = realize_nonneg(s)
+        assert k == 0.0
+        assert b == realize_cospectral(s)
+        assert b.min_entry() >= -1e-10
+        assert all(abs(v - 1) <= 1e-9 for v in b.row_sums() + b.col_sums())
+        got = charpoly_float(b)
+        want = [float(c) for c in poly_from_spectrum(s).coefficients]
         assert all(abs(p - q) <= SPECTRAL_TOL for p, q in zip(got, want))
 
     def test_shift_consistency_identity(self):
@@ -306,6 +404,14 @@ class TestRealizeNonneg:
     def test_lift_beyond_float_range_overflows(self):
         with pytest.warns(PerronWarning):
             s = SpectrumList([1, 10**154, 10**154])
-        assert realize_cospectral(s).min_entry() < 0
+        # the companion block of (x - 1e154)^2 has 1e308 in its last row
+        assert companion_realization(s).min_entry() < 0
         with pytest.raises(OverflowError):
+            orthogonal._lift(companion_realization(s))
+
+    def test_lift_beyond_float_range_overflows_normal_block(self):
+        with pytest.warns(PerronWarning):
+            s = SpectrumList([1, -17 * 10**307, -17 * 10**307])
+        assert realize_cospectral(s).min_entry() < 0
+        with pytest.raises(OverflowError, match="the nonnegative lift"):
             realize_nonneg(s)
