@@ -5,7 +5,7 @@ row/column-sum structure, characteristic polynomials, rank-r spectrum
 perturbations, the column-balancing family with its nonnegativity threshold,
 and the Frobenius projection onto unit row/column sums.  It uses the standard
 library only.  The floating half, :mod:`dstoch.orthogonal`, realizes
-conjugate-closed spectra through orthogonal embeddings of companion matrices
+conjugate-closed spectra by embedding their real normal block orthogonally,
 and normalizes nonnegative matrices to constant row sums.  It alone has a
 third-party dependency.
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .core import (
     RatMatrix,
     _as_fraction,
-    _common_row_sum,
     _Record,
+    _require_constant_row_sums,
     column_stats,
     format_matrix,
 )
@@ -37,37 +37,21 @@ __all__ = [
 ]
 
 
-def _require_constant_row_sums(a: RatMatrix) -> Fraction:
-    r = _common_row_sum(a)
-    if r is None:
-        raise PreconditionError("matrix must have constant row sums")
-    return r
-
-
 def _columns(a: RatMatrix):
     """Check a once (square, nonnegative, constant row sums) and return
     n, r, column sums x, column minima, and the column bounds x_j - n*a_j
     whose maximum minus r is the threshold."""
-    n = a.require_square()
     x, mins = column_stats(a)
+    n = len(x)
     if min(mins) < 0:
         raise PreconditionError("matrix must be entrywise nonnegative")
     r = _require_constant_row_sums(a)
     return n, r, x, mins, [x[j] - n * mins[j] for j in range(n)]
 
 
-def _balanced(a: RatMatrix, n, r, x, bounds, eps: Fraction) -> RatMatrix:
-    """Entries a_ij + (r + eps - x_j)/n; shifts below the threshold are rejected."""
-    top = max(bounds)
-    threshold = top - r
-    if eps < threshold:
-        worst = bounds.index(top) + 1
-        raise InfeasibleError(
-            f"shift {eps} is below the nonnegativity threshold {threshold} "
-            f"(column {worst} is binding)",
-            column=worst,
-            threshold=threshold,
-        )
+def _balanced(a: RatMatrix, n, r, x, eps) -> RatMatrix:
+    """Entries a_ij + (r + eps - x_j)/n.  Only :func:`balance` tests its
+    shift against the threshold; no other caller's shift can lie below it."""
     offsets = [Fraction(r + eps - x_j, n) for x_j in x]
     return RatMatrix([[e + y for e, y in zip(row, offsets)] for row in a.rows])
 
@@ -157,19 +141,31 @@ def balance(a: RatMatrix, eps) -> RatMatrix:
 
     Entries are a_ij + (r + eps - x_j)/n: nonnegative, all row and column
     sums r + eps, and cospectral to the input away from the dominant
-    eigenvalue.  Shifts below the threshold are rejected.
+    eigenvalue.  The threshold is tested here, where the shift comes from the
+    caller: a shift below it raises :class:`InfeasibleError`.
     """
     n, r, x, _, bounds = _columns(a)
-    return _balanced(a, n, r, x, bounds, _as_fraction(eps))
+    eps = _as_fraction(eps)
+    top = max(bounds)
+    threshold = top - r
+    if eps < threshold:
+        worst = bounds.index(top) + 1
+        raise InfeasibleError(
+            f"shift {eps} is below the nonnegativity threshold {threshold} "
+            f"(column {worst} is binding)",
+            column=worst,
+            threshold=threshold,
+        )
+    return _balanced(a, n, r, x, eps)
 
 
 def balance_minimal(a: RatMatrix) -> BalanceReport:
     """The balanced family at its threshold, with both parameterizations."""
     n, r, x, mins, bounds = _columns(a)
     m, eps_min, y_min = _thresholds(n, r, x, bounds)
-    top = max(bounds)
+    top = eps_min + r
     tight = frozenset(j + 1 for j, bound in enumerate(bounds) if bound == top)
-    b_min = _balanced(a, n, r, x, bounds, eps_min)
+    b_min = _balanced(a, n, r, x, eps_min)
     return BalanceReport(r, x, mins, m + 1, y_min, eps_min, b_min, tight)
 
 
@@ -180,5 +176,5 @@ def balance_nr(a: RatMatrix) -> RatMatrix:
     so every column sum is at most n*r.  The output's sums do not depend on
     the input's entries, only on its order and row sum.
     """
-    n, r, x, _, bounds = _columns(a)
-    return _balanced(a, n, r, x, bounds, (n - 1) * r)
+    n, r, x, _, _ = _columns(a)
+    return _balanced(a, n, r, x, (n - 1) * r)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, PreconditionError
 
 __all__ = [
     "RatMatrix",
@@ -291,6 +291,13 @@ def _common_row_sum(a: RatMatrix) -> Fraction | None:
     """The row sum shared by every row, or None when the rows differ."""
     sums = a.row_sums()
     return sums[0] if all(s == sums[0] for s in sums) else None
+
+
+def _require_constant_row_sums(a: RatMatrix) -> Fraction:
+    r = _common_row_sum(a)
+    if r is None:
+        raise PreconditionError("matrix must have constant row sums")
+    return r
 
 
 def classify(a: RatMatrix) -> StochClass:

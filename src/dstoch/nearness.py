@@ -90,9 +90,9 @@ def _slack_report(n, r, x, mins, bounds) -> DsConditionReport:
 def cospectral_ds(a: RatMatrix) -> RatMatrix:
     """Doubly stochastic matrix exactly cospectral to a stochastic one.
 
-    Entries are a_ij + (1 - x_j)/n, i.e. ``balance(a, 0)``; the slacks come
-    from the same column pass.  Refuses a negative slack, which would give
-    negative entries; the raw projection is :func:`nearest_ds`.
+    Entries are a_ij + (1 - x_j)/n, i.e. ``balance(a, 0)``, built once the
+    slacks from the same column pass show the shift 0 feasible.  Refuses a
+    negative slack; the raw projection is :func:`nearest_ds`.
     """
     n, r, x, mins, bounds = _columns(a)
     report = _slack_report(n, r, x, mins, bounds)
@@ -103,7 +103,7 @@ def cospectral_ds(a: RatMatrix) -> RatMatrix:
             column=report.first_violation,
             report=report,
         )
-    return _balanced(a, n, r, x, bounds, 0)
+    return _balanced(a, n, r, x, 0)
 
 
 def _gap(a: RatMatrix) -> tuple[list[Fraction], list[Fraction]]:

@@ -52,7 +52,7 @@ __all__ = [
     "SPECTRAL_TOL",
 ]
 
-#: orthogonality / first-column / symmetry checks at assembly time
+#: orthogonality / first-column checks at assembly time
 ASSEMBLY_TOL = 1e-12
 #: row/column sums of embedded matrices
 MEMBERSHIP_TOL = 1e-10
@@ -184,10 +184,10 @@ class OrthoBasis(_Record):
 def canonical_basis(n: int) -> OrthoBasis:
     """The symmetric orthogonal involution with leading all-ones column.
 
-    Block form: top-left 1/sqrt(n), first row/column 1/sqrt(n) throughout,
-    and lower-right block I - (1 + 1/sqrt(n)) times the uniform matrix of
-    order n-1.  Besides the checks of :class:`OrthoBasis`, it checks its own
-    symmetry and involution within ASSEMBLY_TOL.
+    The Householder reflector I - 2ww^T/(w^T w), w = e1 - (1/sqrt(n))*1, or
+    [1] at n = 1, filled symmetrically: a symmetric involution by
+    construction, so the checks of :class:`OrthoBasis` are its only runtime
+    ones.  Applying the reflector in O(n^2) gained nothing measurable at n <= 80.
     """
     if n < 1:
         raise DimensionError("order must be at least 1")
@@ -198,12 +198,7 @@ def canonical_basis(n: int) -> OrthoBasis:
     if n > 1:
         block = np.eye(n - 1) - (1.0 + lead) / (n - 1)
         arr[1:, 1:] = block
-    basis = OrthoBasis(FloatMatrix(arr))
-    if np.abs(arr - arr.T).max() > ASSEMBLY_TOL:
-        raise BasisError("canonical basis must be symmetric")
-    if np.abs(arr @ arr - np.eye(n)).max() > ASSEMBLY_TOL:
-        raise BasisError("canonical basis must be an involution")
-    return basis
+    return OrthoBasis(FloatMatrix(arr))
 
 
 def random_basis(n: int, seed: int) -> OrthoBasis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import RatMatrix, _as_fraction, _common_row_sum
+from .core import RatMatrix, _as_fraction, _require_constant_row_sums
 from .errors import DimensionError, PreconditionError
 
 __all__ = ["RadoUpdate", "rado_update", "shift", "shift_nonneg_threshold"]
@@ -73,8 +73,7 @@ def shift(a: RatMatrix, eps) -> RatMatrix:
     row/column-sum structure is preserved with r shifted to r + eps.
     """
     n = a.require_square()
-    if _common_row_sum(a) is None:
-        raise PreconditionError("shift requires constant row sums")
+    _require_constant_row_sums(a)
     e = _as_fraction(eps) / n
     return RatMatrix([[v + e for v in row] for row in a.rows])
 

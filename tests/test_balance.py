@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,11 @@ class TestBalance:
             balance(A_UNEVEN, Fraction(-1, 2) - Fraction(1, 1000))
         assert exc.value.threshold == Fraction(-1, 2)
         assert exc.value.column == 3
+
+    def test_infeasible_shift_message(self):
+        msg = "shift -501/1000 is below the nonnegativity threshold -1/2 (column 3 is binding)"
+        with pytest.raises(InfeasibleError, match=re.escape(msg)):
+            balance(A_UNEVEN, Fraction(-1, 2) - Fraction(1, 1000))
 
     def test_family_is_a_line(self):
         rng = random.Random(9)

@@ -261,6 +261,14 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "threshold -1/2" in err
 
+    def test_shift_without_constant_row_sums(self, tmp_path, capsys):
+        uneven = tmp_path / "uneven.mat"
+        uneven.write_text("1 0\n1 1\n", encoding="utf-8")
+        assert run(["shift", "--eps", "1", str(uneven)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix must have constant row sums\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -66,6 +66,17 @@ class TestCanonicalBasis:
             assert np.abs(u - u.T).max() <= ASSEMBLY_TOL
             assert np.abs(u[:, 0] - 1 / math.sqrt(n)).max() <= ASSEMBLY_TOL
 
+    def test_symmetric_involution_at_large_orders(self):
+        # canonical_basis checks neither symmetry nor involution at run time:
+        # its symmetric fill gives both, shown here at the float_realize orders
+        for n in (20, 40, 80):
+            u = canonical_basis(n).u.to_numpy()
+            eye = np.eye(n)
+            assert np.array_equal(u, u.T)
+            assert np.abs(u.T @ u - eye).max() <= ASSEMBLY_TOL
+            assert np.abs(u @ u - eye).max() <= ASSEMBLY_TOL
+            assert np.abs(u[:, 0] - 1 / math.sqrt(n)).max() <= ASSEMBLY_TOL
+
     def test_invalid_order(self):
         with pytest.raises(DimensionError):
             canonical_basis(0)

@@ -12,6 +12,7 @@ from dstoch import (
     RadoUpdate,
     RatMatrix,
     Stochasticity,
+    balance,
     charpoly,
     classify,
     rado_update,
@@ -110,6 +111,13 @@ class TestShift:
     def test_requires_constant_row_sums(self):
         with pytest.raises(PreconditionError):
             shift(RatMatrix([[1, 0], [1, 1]]), 1)
+
+    def test_row_sum_message_shared_with_balance(self):
+        uneven = RatMatrix([[1, 0], [1, 1]])
+        for call in (shift, balance):
+            with pytest.raises(PreconditionError) as exc:
+                call(uneven, 1)
+            assert str(exc.value) == "matrix must have constant row sums"
 
     @settings(max_examples=40)
     @given(small_fracs, small_fracs)
